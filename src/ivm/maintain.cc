@@ -365,11 +365,27 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
     // The wholesale commit bypasses the index-patching path; drop the
     // persistent indexes and let the next incremental batch rebuild them.
     base_index_.clear();
+    plan::RelationStats old_stats = base_.stats();
     CQAC_RETURN_IF_ERROR(delta.CommitTo(&base_));
     Database old_views = std::move(views_);
+    std::vector<CountMap> old_counts = std::move(counts_);
     views_ = Database();
-    for (size_t i = 0; i < view_queries_.size(); ++i)
-      CQAC_RETURN_IF_ERROR(RebuildView(ctx, i));
+    counts_.assign(view_queries_.size(), CountMap{});
+    for (size_t i = 0; i < view_queries_.size(); ++i) {
+      Status st = RebuildView(ctx, i);
+      if (st.ok()) continue;
+      // An aborted rebuild leaves the state as it was: undo the commit in
+      // O(delta), including the insert-monotone sketches, and put the old
+      // views back.
+      for (const auto& [pred, rel] : delta.plus().relations())
+        for (const Tuple& t : rel) base_.Remove(pred, t);
+      for (const auto& [pred, rel] : delta.minus().relations())
+        for (const Tuple& t : rel) CQAC_RETURN_IF_ERROR(base_.Insert(pred, t));
+      base_.RestoreStats(std::move(old_stats));
+      views_ = std::move(old_views);
+      counts_ = std::move(old_counts);
+      return st;
+    }
     DiffTuples(old_views, views_, &summary.view_tuples_added,
                &summary.view_tuples_removed);
     ctx.stats().ivm_view_delta_tuples +=

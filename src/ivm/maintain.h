@@ -142,9 +142,10 @@ class MaterializedViewSet {
   Status ResetViews(EngineContext& ctx, const ViewSet& views);
 
   /// Applies one staged batch. The delta must have been staged against
-  /// base(). On kResourceExhausted the batch may be partially applied (the
-  /// retract half may have landed while the insert half did not; an aborted
-  /// half is rolled back), but base and views always agree.
+  /// base(). On kResourceExhausted the aborted half is rolled back (a
+  /// mixed batch may keep its retract half when the insert half aborts), so
+  /// base and views always agree, and a one-sided batch (ApplyInsert,
+  /// ApplyRetract) either commits fully or leaves the state untouched.
   /// When `cert` is non-null, a successful Apply fills it with the exact
   /// per-tuple count transitions of this batch (O(state) snapshotting).
   Result<ApplySummary> Apply(EngineContext& ctx, const DeltaDatabase& delta,

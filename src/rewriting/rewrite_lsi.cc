@@ -147,25 +147,18 @@ class Combiner {
           atom.args.push_back(found->second);
           continue;
         }
-        Term arg = Term::Var(-1);
-        auto cb = m->const_bindings.find(cls);
-        if (cb != m->const_bindings.end()) {
-          arg = Term::Const(cb->second);
-        } else {
+        Term arg = [&] {
+          auto cb = m->const_bindings.find(cls);
+          if (cb != m->const_bindings.end()) return Term::Const(cb->second);
           // A query variable whose image lies in this class?
-          int qvar = -1;
-          for (int x = 0; x < q_.num_vars() && qvar < 0; ++x) {
+          for (int x = 0; x < q_.num_vars(); ++x) {
             if (!m->phi.IsBound(x)) continue;
             const Term& w = m->phi.Get(x);
-            if (w.is_var() && m->hh.Same(w.var(), ht.var())) qvar = x;
+            if (w.is_var() && m->hh.Same(w.var(), ht.var())) return PTermOf(x);
           }
-          if (qvar >= 0) {
-            arg = PTermOf(qvar);
-          } else {
-            arg = Term::Var(p_.AddFreshVariable(
-                StrCat(view.head().predicate, "_", view.VarName(cls))));
-          }
-        }
+          return Term::Var(p_.AddFreshVariable(
+              StrCat(view.head().predicate, "_", view.VarName(cls))));
+        }();
         class_terms_[mi].emplace(cls, arg);
         atom.args.push_back(arg);
       }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -88,11 +87,6 @@ bool IsErrorResponseLine(const std::string& response) {
 }
 
 }  // namespace
-
-std::string WarmupSummary::ToString() const {
-  return StrCat(views, " views, ", facts, " facts, ", rewrites,
-                " rewrites primed, ", ignored, " lines ignored");
-}
 
 Service::Service(EngineContext& ctx, ServiceOptions options)
     : ctx_(ctx), options_(options), sessions_(options.max_sessions) {}
@@ -182,8 +176,9 @@ std::string ShardSummary::ToJson() const {
 std::string Service::Dispatch(const Request& req, bool* shutdown_requested) {
   if (req.op == "ping") return HandlePing(req);
   if (req.op == "view") return HandleView(req);
-  if (req.op == "fact") return HandleFact(req);
-  if (req.op == "retract") return HandleRetract(req);
+  if (req.op == "fact") return HandleFacts(req, store::RecordType::kFact);
+  if (req.op == "retract")
+    return HandleFacts(req, store::RecordType::kRetract);
   if (req.op == "classify") return HandleClassify(req);
   if (req.op == "rewrite") return HandleRewrite(req);
   if (req.op == "contain") return HandleContain(req);
@@ -209,9 +204,14 @@ std::string Service::HandlePing(const Request& req) {
   return out;
 }
 
-Status Service::LogSessionCreate(bool created, const std::string& session) {
-  if (!created || store_ == nullptr) return Status::OK();
-  return store_->Append(store::RecordType::kSessionCreate, session, "");
+Result<Session*> Service::SessionFor(const Request& req) {
+  bool created = false;
+  CQAC_ASSIGN_OR_RETURN(Session* session,
+                        sessions_.GetOrCreate(req.session, &created));
+  if (created)
+    CQAC_RETURN_IF_ERROR(
+        LogRecordOp(store::RecordType::kSessionCreate, req.session, ""));
+  return session;
 }
 
 Status Service::LogRecordOp(store::RecordType type, const std::string& session,
@@ -223,15 +223,8 @@ Status Service::LogRecordOp(store::RecordType type, const std::string& session,
 void Service::MaybeSnapshot() {
   if (store_ == nullptr || !store_->ShouldSnapshot()) return;
   std::vector<store::SessionSnapshotRef> refs;
-  std::vector<Session*> sessions = sessions_.Sessions();
-  refs.reserve(sessions.size());
-  for (Session* s : sessions) {
-    store::SessionSnapshotRef ref;
-    ref.name = &s->name;
-    ref.view_texts = &s->view_texts;
-    ref.store = &s->store;
-    refs.push_back(ref);
-  }
+  for (Session* s : sessions_.Sessions())
+    refs.push_back(s->state.SnapshotRef());
   Status st = store_->WriteSnapshot(ctx_.adaptive(), refs);
   if (!st.ok())
     std::fprintf(stderr, "cqac_serve: shard %zu snapshot failed: %s\n",
@@ -241,99 +234,48 @@ void Service::MaybeSnapshot() {
 std::string Service::HandleView(const Request& req) {
   Result<std::string> rule = req.GetString("rule");
   if (!rule.ok()) return ErrorResponse(req, rule.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = SessionFor(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
-
-  Result<ParsedQuery> v = ParseQueryWithInfo(rule.value());
-  if (!v.ok()) return ErrorResponse(req, v.status());
-  Status st = session.value()->views.Add(v.value().query);
+  store::SessionState& state = session.value()->state;
+  Status st = state.AddView(ctx_, rule.value());
   if (!st.ok()) return ErrorResponse(req, st);
-  // Materialize the new view over the session's base now, so later fact /
-  // retract ops maintain it incrementally (src/ivm).
-  st = session.value()->store.AddView(ctx_, v.value().query);
-  if (!st.ok()) return ErrorResponse(req, st);
-  session.value()->view_sources.push_back(std::move(v).value());
-  session.value()->view_texts.push_back(rule.value());
   // Log the commit before the response is released: acked means logged.
-  logged = LogRecordOp(store::RecordType::kView, req.session, rule.value());
-  if (!logged.ok()) return ErrorResponse(req, logged);
+  st = LogRecordOp(store::RecordType::kView, req.session, rule.value());
+  if (!st.ok()) return ErrorResponse(req, st);
 
-  const ViewSet& views = session.value()->views;
   std::string out = BeginResponse(req);
-  JsonField(&out, "view", JsonQuote(views[views.size() - 1].ToString()));
-  JsonField(&out, "views", StrCat(views.size()));
+  JsonField(&out, "view",
+            JsonQuote(state.views[state.views.size() - 1].ToString()));
+  JsonField(&out, "views", StrCat(state.views.size()));
   JsonClose(&out);
   return out;
 }
 
-std::string Service::HandleFact(const Request& req) {
+std::string Service::HandleFacts(const Request& req, store::RecordType type) {
   Result<std::string> facts = req.GetString("facts");
   if (!facts.ok()) return ErrorResponse(req, facts.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = SessionFor(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
-
-  Result<Database> parsed = Database::FromFacts(facts.value());
-  if (!parsed.ok()) return ErrorResponse(req, parsed.status());
+  store::SessionState& state = session.value()->state;
   const bool certify = CertifyRequested(req);
-  ivm::MaterializedViewSet& store = session.value()->store;
   ivm::MaintenanceCertificate cert;
-  Result<ivm::ApplySummary> summary =
-      store.ApplyInsert(ctx_, parsed.value(), {}, certify ? &cert : nullptr);
+  Result<ivm::ApplySummary> summary = state.ApplyFacts(
+      ctx_, type, facts.value(), certify ? &cert : nullptr);
   if (!summary.ok()) return ErrorResponse(req, summary.status());
-  logged = LogRecordOp(store::RecordType::kFact, req.session, facts.value());
+  Status logged = LogRecordOp(type, req.session, facts.value());
   if (!logged.ok()) return ErrorResponse(req, logged);
 
+  const bool insert = type == store::RecordType::kFact;
+  const ivm::MaterializedViewSet& store = state.store;
   std::string out = BeginResponse(req);
-  JsonField(&out, "tuples_added", StrCat(summary.value().inserted));
+  JsonField(&out, insert ? "tuples_added" : "tuples_removed",
+            StrCat(insert ? summary.value().inserted
+                          : summary.value().retracted));
   JsonField(&out, "total_tuples", StrCat(store.base().TotalTuples()));
   if (certify) {
     audit::AuditReport report;
     RecordObligation(ctx_, &report, audit::ObligationKind::kIvmCommit,
-                     "fact", [&] {
-                       return audit::CheckMaintenance(
-                           ctx_, store.view_queries(), cert, store.base(),
-                           store.views());
-                     });
-    JsonField(&out, "audit", report.ToJson());
-  }
-  JsonClose(&out);
-  return out;
-}
-
-std::string Service::HandleRetract(const Request& req) {
-  Result<std::string> facts = req.GetString("facts");
-  if (!facts.ok()) return ErrorResponse(req, facts.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
-  if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
-
-  Result<Database> parsed = Database::FromFacts(facts.value());
-  if (!parsed.ok()) return ErrorResponse(req, parsed.status());
-  const bool certify = CertifyRequested(req);
-  ivm::MaterializedViewSet& store = session.value()->store;
-  ivm::MaintenanceCertificate cert;
-  Result<ivm::ApplySummary> summary =
-      store.ApplyRetract(ctx_, parsed.value(), {}, certify ? &cert : nullptr);
-  if (!summary.ok()) return ErrorResponse(req, summary.status());
-  logged =
-      LogRecordOp(store::RecordType::kRetract, req.session, facts.value());
-  if (!logged.ok()) return ErrorResponse(req, logged);
-
-  std::string out = BeginResponse(req);
-  JsonField(&out, "tuples_removed", StrCat(summary.value().retracted));
-  JsonField(&out, "total_tuples", StrCat(store.base().TotalTuples()));
-  if (certify) {
-    audit::AuditReport report;
-    RecordObligation(ctx_, &report, audit::ObligationKind::kIvmCommit,
-                     "retract", [&] {
+                     insert ? "fact" : "retract", [&] {
                        return audit::CheckMaintenance(
                            ctx_, store.view_queries(), cert, store.base(),
                            store.views());
@@ -366,18 +308,15 @@ std::string Service::HandleClassify(const Request& req) {
 std::string Service::HandleRewrite(const Request& req) {
   Result<std::string> text = req.GetString("query");
   if (!text.ok()) return ErrorResponse(req, text.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = SessionFor(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
   Result<Query> q = ParseQuery(text.value());
   if (!q.ok()) return ErrorResponse(req, q.status());
   Status valid = q.value().Validate();
   if (!valid.ok()) return ErrorResponse(req, valid);
 
   const Query& query = q.value();
-  const ViewSet& views = session.value()->views;
+  const ViewSet& views = session.value()->state.views;
 
   // With "certify": true, the static obligations (classification, the
   // rewriting witness or the SI-MCR rules + bounded unfolding, both
@@ -432,11 +371,8 @@ std::string Service::HandleContain(const Request& req) {
   if (!qtext.ok()) return ErrorResponse(req, qtext.status());
   Result<std::string> ctext = req.GetString("candidate");
   if (!ctext.ok()) return ErrorResponse(req, ctext.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = SessionFor(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
 
   Result<Query> q = ParseQuery(qtext.value());
   if (!q.ok()) return ErrorResponse(req, q.status());
@@ -445,7 +381,7 @@ std::string Service::HandleContain(const Request& req) {
 
   // As in the shell: a candidate written over view predicates is compared
   // through its expansion (the contained-rewriting test of Definition 2.1).
-  const ViewSet& views = session.value()->views;
+  const ViewSet& views = session.value()->state.views;
   Query candidate = std::move(c).value();
   bool uses_views = !candidate.body().empty();
   for (const Atom& a : candidate.body())
@@ -469,17 +405,14 @@ std::string Service::HandleContain(const Request& req) {
 std::string Service::HandleEval(const Request& req) {
   Result<std::string> text = req.GetString("query");
   if (!text.ok()) return ErrorResponse(req, text.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = SessionFor(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
   Result<Query> q = ParseQuery(text.value());
   if (!q.ok()) return ErrorResponse(req, q.status());
   Status valid = q.value().Validate();
   if (!valid.ok()) return ErrorResponse(req, valid);
 
-  const Database& base = session.value()->store.base();
+  const Database& base = session.value()->state.store.base();
   Result<Relation> r = EvaluateQuery(ctx_, q.value(), base);
   if (!r.ok()) return ErrorResponse(req, r.status());
 
@@ -500,7 +433,7 @@ std::string Service::HandleEval(const Request& req) {
   JsonField(&out, "tuples", RelationToJson(r.value()));
   JsonField(&out, "plan", eval_plan.ToJson());
   JsonField(&out, "maintained",
-            session.value()->store.maintained() ? "true" : "false");
+            session.value()->state.store.maintained() ? "true" : "false");
   if (CertifyRequested(req)) {
     // The engine result is certified against the naive reference evaluator.
     audit::AuditReport report;
@@ -508,7 +441,7 @@ std::string Service::HandleEval(const Request& req) {
         ctx_, &report, audit::ObligationKind::kEval, text.value(),
         [&]() -> Status {
           Result<Relation> ref = EvaluateQueryReference(
-              q.value(), session.value()->store.base());
+              q.value(), session.value()->state.store.base());
           CQAC_RETURN_IF_ERROR(ref.status());
           if (ref.value() != r.value())
             return Status::InvalidArgument(
@@ -526,18 +459,15 @@ std::string Service::HandleEval(const Request& req) {
 std::string Service::HandleAnswers(const Request& req) {
   Result<std::string> text = req.GetString("query");
   if (!text.ok()) return ErrorResponse(req, text.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = SessionFor(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
   Result<Query> q = ParseQuery(text.value());
   if (!q.ok()) return ErrorResponse(req, q.status());
   Status valid = q.value().Validate();
   if (!valid.ok()) return ErrorResponse(req, valid);
 
   const Query& query = q.value();
-  const ViewSet& views = session.value()->views;
+  const ViewSet& views = session.value()->state.views;
   AcClass cls = query.Classify();
   if (query.IsCqacSi() && !query.IsConjunctiveOnly() &&
       cls != AcClass::kNone && cls != AcClass::kLsi && cls != AcClass::kRsi &&
@@ -561,7 +491,7 @@ std::string Service::HandleAnswers(const Request& req) {
   // retract, so answers read warm state instead of rematerializing every
   // view per request.
   Result<Relation> r =
-      EvaluateUnion(ctx_, mcr.value(), session.value()->store.views());
+      EvaluateUnion(ctx_, mcr.value(), session.value()->state.store.views());
   if (!r.ok()) return ErrorResponse(req, r.status());
 
   std::string out = BeginResponse(req);
@@ -569,7 +499,7 @@ std::string Service::HandleAnswers(const Request& req) {
   JsonField(&out, "tuples", RelationToJson(r.value()));
   JsonField(&out, "rewriting_count", StrCat(mcr.value().disjuncts.size()));
   JsonField(&out, "maintained",
-            session.value()->store.maintained() ? "true" : "false");
+            session.value()->state.store.maintained() ? "true" : "false");
   JsonClose(&out);
   return out;
 }
@@ -614,10 +544,10 @@ std::string Service::HandleStats(const Request& req) {
                            StrCat("session '", req.session, "' not found"));
     std::string out = BeginResponse(req);
     JsonField(&out, "scope", "\"session\"");
-    JsonField(&out, "session", JsonQuote(session->name));
+    JsonField(&out, "session", JsonQuote(session->state.name));
     JsonField(&out, "shard", StrCat(shard_index_));
-    JsonField(&out, "views", StrCat(session->views.size()));
-    JsonField(&out, "facts", StrCat(session->store.base().TotalTuples()));
+    JsonField(&out, "views", StrCat(session->state.views.size()));
+    JsonField(&out, "facts", StrCat(session->state.store.base().TotalTuples()));
     JsonField(&out, "requests",
               StrCat(session->stats.requests.load(
                   std::memory_order_relaxed)));
@@ -696,57 +626,6 @@ std::string Service::HandleReset(const Request& req) {
   JsonField(&out, "existed", existed ? "true" : "false");
   JsonClose(&out);
   return out;
-}
-
-Result<WarmupSummary> Service::Warmup(const std::string& script) {
-  WarmupSummary summary;
-  std::istringstream in(script);
-  std::string line;
-  std::string current_query;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    line = Strip(line);
-    if (line.empty() || line[0] == '%') continue;
-    std::string cmd = line.substr(0, line.find(' '));
-    std::string rest =
-        Strip(line.size() > cmd.size() ? line.substr(cmd.size()) : "");
-
-    std::string request_line;
-    if (cmd == "view") {
-      request_line = StrCat("{\"op\":\"view\",\"rule\":", JsonQuote(rest), "}");
-      ++summary.views;
-    } else if (cmd == "fact") {
-      request_line =
-          StrCat("{\"op\":\"fact\",\"facts\":", JsonQuote(rest), "}");
-      ++summary.facts;
-    } else if (cmd == "retract") {
-      request_line =
-          StrCat("{\"op\":\"retract\",\"facts\":", JsonQuote(rest), "}");
-      ++summary.facts;
-    } else if (cmd == "query") {
-      current_query = rest;
-      continue;
-    } else if (cmd == "rewrite") {
-      const std::string& q = rest.empty() ? current_query : rest;
-      if (q.empty())
-        return Status::InvalidArgument(StrCat(
-            "warmup line ", line_no, ": rewrite before any query"));
-      request_line =
-          StrCat("{\"op\":\"rewrite\",\"query\":", JsonQuote(q), "}");
-      ++summary.rewrites;
-    } else {
-      ++summary.ignored;
-      continue;
-    }
-
-    bool shutdown = false;
-    std::string response = Execute(request_line, &shutdown);
-    if (IsErrorResponseLine(response))
-      return Status::InvalidArgument(
-          StrCat("warmup line ", line_no, " failed: ", response));
-  }
-  return summary;
 }
 
 }  // namespace serve

@@ -24,15 +24,15 @@ Result<Session*> SessionManager::GetOrCreate(const std::string& name,
 
 Status SessionManager::Adopt(std::unique_ptr<Session> session) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (sessions_.count(session->name) > 0)
+  const std::string& name = session->state.name;
+  if (sessions_.count(name) > 0)
     return Status::Internal(
-        StrCat("recovered session '", session->name, "' already exists"));
+        StrCat("recovered session '", name, "' already exists"));
   if (sessions_.size() >= max_sessions_)
     return Status::ResourceExhausted(
         StrCat("session limit reached (", max_sessions_,
                ") while adopting recovered sessions"));
-  std::string name = session->name;
-  sessions_.emplace(std::move(name), std::move(session));
+  sessions_.emplace(name, std::move(session));
   return Status::OK();
 }
 

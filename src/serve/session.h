@@ -1,8 +1,8 @@
 // Sessions: the per-client state a long-lived server keeps between
-// requests. A session owns what the shell keeps as mutable state — the view
-// registry (with source spans, for lint) and the fact database — plus
-// accounting: request counts and the engine-stat deltas attributable to the
-// session's requests against the owning shard's EngineContext.
+// requests. A session owns the same store::SessionState the shell keeps —
+// the view registry (with source spans, for lint) and the fact database —
+// plus accounting: request counts and the engine-stat deltas attributable
+// to the session's requests against the owning shard's EngineContext.
 //
 // Ownership under sharding: every session is pinned to exactly one shard
 // (server.h ShardForSession), and a session's *state* (views, store,
@@ -26,10 +26,7 @@
 
 #include "src/base/status.h"
 #include "src/engine/stats.h"
-#include "src/eval/database.h"
-#include "src/ir/parser.h"
-#include "src/ir/view.h"
-#include "src/ivm/maintain.h"
+#include "src/store/session.h"
 
 namespace cqac {
 namespace serve {
@@ -43,21 +40,14 @@ struct SessionStats {
   StatsSnapshot engine;  // summed engine-stat deltas of this session
 };
 
-/// One client-visible session.
+/// One client-visible session: the shared command core's state (views,
+/// facts, maintained view instance; src/store/session.h) plus accounting.
 struct Session {
-  explicit Session(std::string name_in) : name(std::move(name_in)) {}
+  explicit Session(std::string name) { state.name = std::move(name); }
+  explicit Session(store::SessionState recovered)
+      : state(std::move(recovered)) {}
 
-  std::string name;
-  ViewSet views;
-  std::vector<ParsedQuery> view_sources;  // parallel to views, with spans
-  std::vector<std::string> view_texts;    // original rule texts, for the
-                                          // durability snapshots (src/store)
-
-  /// Base facts plus incrementally maintained materializations of `views`
-  /// (src/ivm): `fact`/`retract` ops pay O(delta), and `answers` reads the
-  /// warm state instead of rematerializing per request.
-  ivm::MaterializedViewSet store;
-
+  store::SessionState state;
   SessionStats stats;
 };
 

@@ -130,7 +130,7 @@ Result<std::unique_ptr<SessionState>> DeserializeSession(
       return Status::Inconsistent(
           StrCat("snapshot ", path, ": view rule of session '", state->name,
                  "' no longer parses: ", parsed.status().message()));
-    CQAC_RETURN_IF_ERROR(parsed.value().query.Validate());
+    CQAC_RETURN_IF_ERROR(state->views.Add(parsed.value().query));
     queries.push_back(parsed.value().query);
     state->view_sources.push_back(std::move(parsed).value());
     state->view_texts.push_back(std::move(text));

@@ -33,32 +33,13 @@
 
 #include "src/base/status.h"
 #include "src/engine/adaptive.h"
-#include "src/ir/parser.h"
-#include "src/ivm/maintain.h"
+#include "src/store/session.h"
 
 namespace cqac {
 namespace store {
 
 inline constexpr char kSnapshotMagic[9] = "CQACSNP1";  // 8 bytes on disk
 inline constexpr uint32_t kSnapshotVersion = 1;
-
-/// Borrowed references to one live session's snapshot-relevant state (the
-/// serve layer hands these in so writing never copies a session).
-struct SessionSnapshotRef {
-  const std::string* name = nullptr;
-  const std::vector<std::string>* view_texts = nullptr;
-  const ivm::MaterializedViewSet* store = nullptr;
-};
-
-/// One recovered session, owning its state. The serve layer moves these
-/// into serve::Session objects at startup; the shell's `load` adopts the
-/// single "shell" session directly.
-struct SessionState {
-  std::string name;
-  std::vector<std::string> view_texts;
-  std::vector<ParsedQuery> view_sources;  // parsed from view_texts
-  ivm::MaterializedViewSet store;
-};
 
 struct SnapshotData {
   uint64_t lsn = 0;

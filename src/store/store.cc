@@ -13,7 +13,6 @@
 #include <sstream>
 
 #include "src/base/strings.h"
-#include "src/ir/parser.h"
 
 namespace cqac {
 namespace store {
@@ -49,8 +48,15 @@ std::string SnapshotPath(const std::string& shard_dir, uint64_t lsn) {
   return StrCat(shard_dir, "/", kSnapshotPrefix, buf, kSnapshotSuffix);
 }
 
+/// Wraps a failed replay of record `r` so recovery names the record.
+Status ReplayFailed(const LogRecord& r, const char* what, const Status& st) {
+  return Status::Inconsistent(StrCat("wal replay: ", what, " record lsn ",
+                                     r.lsn, " failed: ", st.message()));
+}
+
 /// Applies one replayed WAL record to the in-recovery session map, using the
-/// same lenient get-or-create semantics the serve layer logs under.
+/// same lenient get-or-create semantics the serve layer logs under and the
+/// same session operations the live request ran.
 Status ReplayRecord(EngineContext& ctx, const LogRecord& r,
                     std::map<std::string, std::unique_ptr<SessionState>>* by_name) {
   auto get_or_create = [&]() -> SessionState* {
@@ -70,35 +76,13 @@ Status ReplayRecord(EngineContext& ctx, const LogRecord& r,
       by_name->erase(r.session);
       return Status::OK();
     case RecordType::kView: {
-      SessionState* s = get_or_create();
-      Result<ParsedQuery> parsed = ParseQueryWithInfo(r.text);
-      if (!parsed.ok())
-        return Status::Inconsistent(
-            StrCat("wal replay: view record lsn ", r.lsn,
-                   " no longer parses: ", parsed.status().message()));
-      CQAC_RETURN_IF_ERROR(parsed.value().query.Validate());
-      CQAC_RETURN_IF_ERROR(s->store.AddView(ctx, parsed.value().query));
-      s->view_texts.push_back(r.text);
-      s->view_sources.push_back(std::move(parsed).value());
-      return Status::OK();
+      Status st = get_or_create()->AddView(ctx, r.text);
+      return st.ok() ? st : ReplayFailed(r, "view", st);
     }
     case RecordType::kFact:
     case RecordType::kRetract: {
-      SessionState* s = get_or_create();
-      Result<Database> facts = Database::FromFacts(r.text);
-      if (!facts.ok())
-        return Status::Inconsistent(
-            StrCat("wal replay: facts record lsn ", r.lsn,
-                   " no longer parses: ", facts.status().message()));
-      Result<ivm::ApplySummary> applied =
-          r.type == RecordType::kFact
-              ? s->store.ApplyInsert(ctx, facts.value())
-              : s->store.ApplyRetract(ctx, facts.value());
-      if (!applied.ok())
-        return Status::Inconsistent(
-            StrCat("wal replay: apply of record lsn ", r.lsn,
-                   " failed: ", applied.status().message()));
-      return Status::OK();
+      Status st = get_or_create()->ApplyFacts(ctx, r.type, r.text).status();
+      return st.ok() ? st : ReplayFailed(r, "facts", st);
     }
     case RecordType::kSnapshotBarrier:
       return Status::OK();  // validated by the caller against the snapshot

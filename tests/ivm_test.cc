@@ -236,6 +236,39 @@ TEST(MaterializedViewSetTest, AbortedRetractRollsBack) {
   EXPECT_EQ(store.views().Get("v").size(), 0u);
 }
 
+// An aborted rebuild leaves the state exactly as it was — base, views,
+// counts and the planner sketches — so a failed batch is as if never sent.
+TEST(MaterializedViewSetTest, AbortedRebuildLeavesTheStateUntouched) {
+  EngineContext ctx;
+  ivm::MaterializedViewSet store;
+  ASSERT_TRUE(
+      store.AddView(ctx, MustParseQuery("v(X, Y) :- r(X, Z), s(Z, Y).")).ok());
+  Database base;
+  ASSERT_TRUE(base.Insert("r", {Value(1), Value(0)}).ok());
+  for (int i = 0; i < 5000; ++i)
+    ASSERT_TRUE(base.Insert("s", {Value(0), Value(i)}).ok());
+  ASSERT_TRUE(store.ApplyInsert(ctx, base).ok());
+  const std::string base_before = store.base().ToString();
+  const std::string views_before = store.views().ToString();
+  const auto counts_before = store.counts();
+  const size_t distinct_before = store.base().stats().DistinctEstimate("r", 0);
+
+  ivm::MaintainOptions rebuild;
+  rebuild.force_rebuild = true;
+  ctx.RequestCancel();
+  auto aborted = store.ApplyInsert(ctx, Db("r(2, 0). r(3, 0)."), rebuild);
+  EXPECT_FALSE(aborted.ok());
+  EXPECT_EQ(store.base().ToString(), base_before);
+  EXPECT_EQ(store.views().ToString(), views_before);
+  EXPECT_EQ(store.counts(), counts_before);
+  EXPECT_EQ(store.base().stats().DistinctEstimate("r", 0), distinct_before);
+
+  ctx.ClearCancel();
+  auto retried = store.ApplyInsert(ctx, Db("r(2, 0). r(3, 0)."), rebuild);
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  EXPECT_EQ(store.views().Get("v").size(), 15000u);
+}
+
 // ---- MaintainedProgram -----------------------------------------------------
 
 Program Tc() {

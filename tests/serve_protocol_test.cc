@@ -3,14 +3,18 @@
 // Socket-level behavior (framing, drain, cancellation, concurrency) lives in
 // serve_test.cc.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "src/base/strings.h"
 #include "src/engine/context.h"
 #include "src/ir/json.h"
 #include "src/serve/json_value.h"
 #include "src/serve/protocol.h"
+#include "src/serve/server.h"
 #include "src/serve/service.h"
 
 namespace cqac {
@@ -313,34 +317,101 @@ TEST_F(ServiceTest, MaxSessionsIsEnforced) {
       << full;
 }
 
-TEST_F(ServiceTest, WarmupReplaysShellScripts) {
-  // The demo.cqac shape: views + facts + a rewrite against the current
-  // query; shell-only commands are counted but ignored.
-  Result<WarmupSummary> warm = service_.Warmup(
-      "% comment\n"
-      "view v1(Y, Z) :- r(X), s(Y, Z), Y <= X, X <= Z.\n"
-      "view v2(Y, Z) :- r(X), s(Y, Z), Y <= X, X < Z.\n"
-      "query q1(A) :- r(A), A < 4.\n"
-      "classify\n"
-      "rewrite\n"
-      "fact r(2).\n"
-      "help\n");
-  ASSERT_TRUE(warm.ok()) << warm.status();
-  EXPECT_EQ(warm.value().views, 2u);
-  EXPECT_EQ(warm.value().facts, 1u);
-  EXPECT_EQ(warm.value().rewrites, 1u);
-  EXPECT_EQ(warm.value().ignored, 2u);  // classify, help
+// ---- A failed view leaves no trace ----------------------------------------
 
-  // The warm-up populated the default session and primed the cache: the
-  // same rewrite now hits the memoized containment decisions.
-  StatsSnapshot before = ctx_.stats().Snapshot();
-  Ok("{\"op\":\"rewrite\",\"query\":\"q1(A) :- r(A), A < 4.\"}");
-  StatsSnapshot delta = ctx_.stats().Snapshot() - before;
-  EXPECT_GT(delta.containment_cache_hits, 0u);
-  EXPECT_EQ(delta.containment_cache_misses, 0u);
+// A 20 000-tuple chain r(i, i+1): materializing the two-hop view over it
+// takes long enough that an already expired deadline aborts it.
+std::string ChainFactsRequest(const std::string& session) {
+  std::string facts;
+  for (int i = 0; i < 20000; ++i) facts += StrCat("r(", i, ", ", i + 1, "). ");
+  return StrCat("{\"op\":\"fact\",\"session\":\"", session,
+                "\",\"facts\":", JsonQuote(facts), "}");
+}
 
-  EXPECT_FALSE(service_.Warmup("view broken( :- r(X).\n").ok());
-  EXPECT_FALSE(service_.Warmup("rewrite\n").ok());  // no current query
+std::string ChainViewRequest(const std::string& session,
+                             const std::string& extra = "") {
+  return StrCat("{\"op\":\"view\",\"session\":\"", session, "\"", extra,
+                ",\"rule\":\"v(X, Z) :- r(X, Y), r(Y, Z).\"}");
+}
+
+std::string ChainAnswersRequest(const std::string& session) {
+  return StrCat("{\"op\":\"answers\",\"session\":\"", session,
+                "\",\"query\":\"q(X, Z) :- r(X, Y), r(Y, Z).\"}");
+}
+
+std::string SessionStatsRequest(const std::string& session) {
+  return StrCat("{\"op\":\"stats\",\"scope\":\"session\",\"session\":\"",
+                session, "\"}");
+}
+
+// The `"views":N,"facts":M` part of a session-scope stats response.
+std::string ViewsAndFacts(const std::string& stats) {
+  size_t begin = stats.find("\"views\":");
+  size_t end = stats.find(",\"requests\":", begin);
+  if (begin == std::string::npos || end == std::string::npos) return stats;
+  return stats.substr(begin, end - begin);
+}
+
+TEST_F(ServiceTest, TimedOutViewIsNotRegistered) {
+  Ok(ChainFactsRequest("failed"));
+  Ok(ChainFactsRequest("clean"));
+  Err(ChainViewRequest("failed", ",\"timeout_ms\":0"), "resource_exhausted");
+  EXPECT_EQ(ViewsAndFacts(Ok(SessionStatsRequest("failed"))),
+            "\"views\":0,\"facts\":20000");
+
+  // The failed view left nothing behind: resending it succeeds, and the
+  // certain answers match a session whose view never failed.
+  Ok(ChainViewRequest("failed"));
+  Ok(ChainViewRequest("clean"));
+  std::string answers = Ok(ChainAnswersRequest("failed"));
+  EXPECT_NE(answers.find("\"count\":19999,"), std::string::npos);
+  EXPECT_EQ(answers, Ok(ChainAnswersRequest("clean")));
+}
+
+class TempDir {
+ public:
+  TempDir() {
+    path_ = (std::filesystem::temp_directory_path() /
+             "cqac_serve_protocol_XXXXXX")
+                .string();
+    EXPECT_NE(::mkdtemp(path_.data()), nullptr);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+TEST(DurableServiceTest, TimedOutViewRecoversToTheLiveState) {
+  TempDir dir;
+  ServerOptions options;
+  options.data_dir = dir.path();
+  bool shutdown = false;
+  // Runs `lines` on a server over `dir` (recovering what earlier servers
+  // logged) and returns the session's stats shape plus its answers.
+  auto run = [&](const std::vector<std::string>& lines) {
+    Server server(options);
+    EXPECT_TRUE(server.OpenStore().ok());
+    for (const std::string& line : lines)
+      server.service().Execute(line, &shutdown);
+    return StrCat(
+        ViewsAndFacts(server.service().Execute(SessionStatsRequest("s"),
+                                               &shutdown)),
+        "\n", server.service().Execute(ChainAnswersRequest("s"), &shutdown));
+  };
+
+  std::string live = run({ChainFactsRequest("s"),
+                          ChainViewRequest("s", ",\"timeout_ms\":0")});
+  EXPECT_EQ(live.rfind("\"views\":0,\"facts\":20000\n", 0), 0u) << live;
+  EXPECT_EQ(run({}), live);
+
+  live = run({ChainViewRequest("s")});
+  EXPECT_NE(live.find("\"count\":19999,"), std::string::npos) << live;
+  EXPECT_EQ(run({}), live);
 }
 
 }  // namespace

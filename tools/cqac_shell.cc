@@ -62,13 +62,13 @@
 #include "src/eval/evaluate.h"
 #include "src/ir/expansion.h"
 #include "src/ir/parser.h"
-#include "src/ivm/maintain.h"
 #include "src/plan/planner.h"
 #include "src/rewriting/answer.h"
 #include "src/rewriting/bucket.h"
 #include "src/rewriting/er_search.h"
 #include "src/rewriting/rewrite_lsi.h"
 #include "src/rewriting/si_mcr.h"
+#include "src/store/session.h"
 #include "src/store/snapshot.h"
 
 namespace cqac {
@@ -94,6 +94,9 @@ class Shell {
   }
 
  private:
+  const ViewSet& views() const { return session_.views; }
+  const Database& base() const { return session_.store.base(); }
+
   bool Fail(const std::string& msg) {
     std::printf("error: %s\n", msg.c_str());
     return false;
@@ -111,8 +114,8 @@ class Shell {
     }
     if (cmd == "view") return AddView(rest);
     if (cmd == "query") return SetQuery(rest);
-    if (cmd == "fact") return AddFact(rest);
-    if (cmd == "retract") return RetractFact(rest);
+    if (cmd == "fact") return ApplyFacts(store::RecordType::kFact, rest);
+    if (cmd == "retract") return ApplyFacts(store::RecordType::kRetract, rest);
     if (cmd == "classify") return Classify();
     if (cmd == "rewrite") return Rewrite();
     if (cmd == "er") return FindEr();
@@ -148,18 +151,10 @@ class Shell {
   }
 
   bool AddView(const std::string& text) {
-    Result<ParsedQuery> v = ParseQueryWithInfo(text);
-    if (!v.ok()) return Fail(v.status().ToString());
-    Status st = views_.Add(v.value().query);
+    Status st = session_.AddView(*ctx_, text);
     if (!st.ok()) return Fail(st.ToString());
-    // Materialize the new view over the current base so later facts only
-    // pay for their deltas.
-    st = store_.AddView(*ctx_, v.value().query);
-    if (!st.ok()) return Fail(st.ToString());
-    view_sources_.push_back(std::move(v).value());
-    view_texts_.push_back(text);
     std::printf("ok: view %s\n",
-                views_[views_.size() - 1].ToString().c_str());
+                views()[views().size() - 1].ToString().c_str());
     return true;
   }
 
@@ -175,18 +170,9 @@ class Shell {
     return true;
   }
 
-  bool AddFact(const std::string& text) {
-    Result<Database> one = Database::FromFacts(text);
-    if (!one.ok()) return Fail(one.status().ToString());
-    Result<ivm::ApplySummary> s = store_.ApplyInsert(*ctx_, one.value());
-    if (!s.ok()) return Fail(s.status().ToString());
-    return true;
-  }
-
-  bool RetractFact(const std::string& text) {
-    Result<Database> one = Database::FromFacts(text);
-    if (!one.ok()) return Fail(one.status().ToString());
-    Result<ivm::ApplySummary> s = store_.ApplyRetract(*ctx_, one.value());
+  // `fact` (type kFact) and `retract` (type kRetract).
+  bool ApplyFacts(store::RecordType type, const std::string& text) {
+    Result<ivm::ApplySummary> s = session_.ApplyFacts(*ctx_, type, text);
     if (!s.ok()) return Fail(s.status().ToString());
     return true;
   }
@@ -213,7 +199,7 @@ class Shell {
     AcClass cls = query_.Classify();
     if (cls == AcClass::kNone || cls == AcClass::kLsi ||
         cls == AcClass::kRsi) {
-      Result<UnionQuery> mcr = RewriteLsiQuery(*ctx_, query_, views_);
+      Result<UnionQuery> mcr = RewriteLsiQuery(*ctx_, query_, views());
       if (!mcr.ok()) return Fail(mcr.status().ToString());
       last_mcr_ = std::move(mcr).value();
       have_mcr_ = !last_mcr_.empty();
@@ -221,14 +207,14 @@ class Shell {
                   last_mcr_.disjuncts.size(), last_mcr_.ToString().c_str());
       return true;
     }
-    if (query_.IsCqacSi() && views_.AllSiOnly()) {
-      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views_);
+    if (query_.IsCqacSi() && views().AllSiOnly()) {
+      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views());
       if (!mcr.ok()) return Fail(mcr.status().ToString());
       std::printf("recursive datalog mcr (%zu rules):\n%s\n",
                   mcr.value().rules.size(), mcr.value().ToString().c_str());
       return true;
     }
-    Result<UnionQuery> mcr = BucketRewrite(*ctx_, query_, views_);
+    Result<UnionQuery> mcr = BucketRewrite(*ctx_, query_, views());
     if (!mcr.ok()) return Fail(mcr.status().ToString());
     last_mcr_ = std::move(mcr).value();
     have_mcr_ = !last_mcr_.empty();
@@ -239,7 +225,7 @@ class Shell {
 
   bool FindEr() {
     if (!NeedQuery()) return false;
-    Result<ErResult> er = FindEquivalentRewriting(*ctx_, query_, views_);
+    Result<ErResult> er = FindEquivalentRewriting(*ctx_, query_, views());
     if (!er.ok()) return Fail(er.status().ToString());
     if (er.value().single.has_value()) {
       std::printf("er: %s\n", er.value().single->ToString().c_str());
@@ -264,7 +250,7 @@ class Shell {
 
   bool Evaluate() {
     if (!NeedQuery()) return false;
-    Result<Relation> r = EvaluateQuery(*ctx_, query_, store_.base());
+    Result<Relation> r = EvaluateQuery(*ctx_, query_, base());
     if (!r.ok()) return Fail(r.status().ToString());
     PrintRelation(r.value());
     return true;
@@ -277,9 +263,10 @@ class Shell {
       if (!have_mcr_) return Fail("no rewriting available");
     }
     // The store's maintained view database is exactly
-    // MaterializeViews(views_, base) — kept current by fact/retract, so no
-    // per-command rematerialization.
-    Result<Relation> r = EvaluateUnion(*ctx_, last_mcr_, store_.views());
+    // MaterializeViews(views(), base()) — kept current by fact/retract, so
+    // no per-command rematerialization.
+    Result<Relation> r =
+        EvaluateUnion(*ctx_, last_mcr_, session_.store.views());
     if (!r.ok()) return Fail(r.status().ToString());
     PrintRelation(r.value());
     return true;
@@ -294,9 +281,9 @@ class Shell {
     Query candidate = std::move(p).value();
     bool uses_views = !candidate.body().empty();
     for (const Atom& a : candidate.body())
-      if (views_.Find(a.predicate) == nullptr) uses_views = false;
+      if (views().Find(a.predicate) == nullptr) uses_views = false;
     if (uses_views) {
-      Result<Query> exp = ExpandRewriting(candidate, views_);
+      Result<Query> exp = ExpandRewriting(candidate, views());
       if (!exp.ok()) return Fail(exp.status().ToString());
       candidate = std::move(exp).value();
     }
@@ -310,13 +297,13 @@ class Shell {
   // Lints every declared view plus the current query. Positions refer to
   // the rule text after the command word of the declaring line.
   bool Lint() {
-    std::vector<ParsedQuery> rules = view_sources_;
+    std::vector<ParsedQuery> rules = session_.view_sources;
     if (have_query_) rules.push_back(query_source_);
     if (rules.empty()) return Fail("nothing to lint (declare views/query)");
     std::vector<LintDiagnostic> diags = LintProgram(rules);
     for (const LintDiagnostic& d : diags) {
       std::string label =
-          d.rule_index < static_cast<int>(view_sources_.size())
+          d.rule_index < static_cast<int>(session_.view_sources.size())
               ? StrCat("view #", d.rule_index + 1)
               : std::string("query");
       std::printf("%s: %s\n", label.c_str(), d.ToString().c_str());
@@ -334,10 +321,10 @@ class Shell {
     if (!NeedQuery()) return false;
     AcClass cls = query_.Classify();
     if (query_.IsCqacSi() && !query_.IsConjunctiveOnly() &&
-        cls != AcClass::kLsi && cls != AcClass::kRsi && views_.AllSiOnly()) {
-      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views_);
+        cls != AcClass::kLsi && cls != AcClass::kRsi && views().AllSiOnly()) {
+      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views());
       if (!mcr.ok()) return Fail(mcr.status().ToString());
-      Status st = CheckSiMcr(query_, views_, mcr.value());
+      Status st = CheckSiMcr(query_, views(), mcr.value());
       if (!st.ok()) return Fail(StrCat("certificate: ", st.ToString()));
       std::printf("certificate: valid (datalog mcr, %zu rules checked)\n",
                   mcr.value().rules.size());
@@ -346,10 +333,10 @@ class Shell {
     RewritingWitness w;
     Result<UnionQuery> mcr =
         (cls == AcClass::kNone || cls == AcClass::kLsi || cls == AcClass::kRsi)
-            ? RewriteLsiQuery(*ctx_, query_, views_, {}, nullptr, &w)
-            : BucketRewrite(*ctx_, query_, views_, {}, nullptr, &w);
+            ? RewriteLsiQuery(*ctx_, query_, views(), {}, nullptr, &w)
+            : BucketRewrite(*ctx_, query_, views(), {}, nullptr, &w);
     if (!mcr.ok()) return Fail(mcr.status().ToString());
-    Status st = CheckRewritingWitness(query_, views_, mcr.value(), w);
+    Status st = CheckRewritingWitness(query_, views(), mcr.value(), w);
     if (!st.ok()) return Fail(StrCat("certificate: ", st.ToString()));
     std::printf("certificate: valid (%zu disjunct%s checked)\n",
                 mcr.value().disjuncts.size(),
@@ -364,8 +351,8 @@ class Shell {
     if (!NeedQuery()) return false;
     audit::AuditInputs in;
     in.query = query_;
-    in.views = views_;
-    in.facts = store_.base();
+    in.views = views();
+    in.facts = base();
     audit::AuditReport report;
     Status st = audit::AuditAll(*ctx_, in, {}, &report);
     if (!st.ok()) return Fail(st.ToString());
@@ -382,15 +369,15 @@ class Shell {
   // (tools/determinism.cqac exercises that).
   bool PlanCmd() {
     if (!NeedQuery()) return false;
-    Result<ViewPlan> vp = PlanForQuery(*ctx_, query_, views_);
+    Result<ViewPlan> vp = PlanForQuery(*ctx_, query_, views());
     if (!vp.ok()) return Fail(vp.status().ToString());
     std::printf("plan:\n%s", vp.value().plan.ToString().c_str());
 
     auto rows = [this](const std::string& p) {
-      return store_.base().Get(p).size();
+      return base().Get(p).size();
     };
     auto distinct = [this](const std::string& p, size_t c) {
-      return store_.base().stats().DistinctEstimate(p, c);
+      return base().stats().DistinctEstimate(p, c);
     };
     plan::JoinOrderPlan jp =
         plan::PlanJoinOrder(query_, plan::Cardinalities{rows, distinct});
@@ -400,10 +387,10 @@ class Shell {
 
     if (vp.value().kind == PlanKind::kFiniteUnion) {
       auto vrows = [this](const std::string& p) {
-        return store_.views().Get(p).size();
+        return session_.store.views().Get(p).size();
       };
       auto vdistinct = [this](const std::string& p, size_t c) {
-        return store_.views().stats().DistinctEstimate(p, c);
+        return session_.store.views().stats().DistinctEstimate(p, c);
       };
       const plan::Cardinalities vcards{vrows, vdistinct};
       double est = 0;
@@ -442,16 +429,12 @@ class Shell {
     if (dir.empty()) return Fail("usage: save <dir>");
     if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST)
       return Fail(StrCat("mkdir ", dir, ": ", std::strerror(errno)));
-    const std::string name = "shell";
-    store::SessionSnapshotRef ref;
-    ref.name = &name;
-    ref.view_texts = &view_texts_;
-    ref.store = &store_;
     Status st = store::WriteSnapshotFile(dir + "/shell.cqs", 0,
-                                         ctx_->adaptive(), {ref});
+                                         ctx_->adaptive(),
+                                         {session_.SnapshotRef()});
     if (!st.ok()) return Fail(st.ToString());
     std::printf("ok: saved %zu views, %zu base tuples to %s/shell.cqs\n",
-                views_.size(), store_.base().TotalTuples(), dir.c_str());
+                views().size(), base().TotalTuples(), dir.c_str());
     return true;
   }
 
@@ -464,20 +447,11 @@ class Shell {
       return Fail(StrCat("expected one session in ", dir,
                          "/shell.cqs, found ",
                          snap.value().sessions.size()));
-    store::SessionState& s = *snap.value().sessions[0];
-    ViewSet views;
-    for (const ParsedQuery& pq : s.view_sources) {
-      Status st = views.Add(pq.query);
-      if (!st.ok()) return Fail(st.ToString());
-    }
-    views_ = std::move(views);
-    view_sources_ = std::move(s.view_sources);
-    view_texts_ = std::move(s.view_texts);
-    store_ = std::move(s.store);
+    session_ = std::move(*snap.value().sessions[0]);
     if (snap.value().has_adaptive)
       ctx_->adaptive() = snap.value().adaptive;
     std::printf("ok: loaded %zu views, %zu base tuples from %s/shell.cqs\n",
-                views_.size(), store_.base().TotalTuples(), dir.c_str());
+                views().size(), base().TotalTuples(), dir.c_str());
     return true;
   }
 
@@ -493,13 +467,13 @@ class Shell {
   // pinned in memory for the pool's sake and is not assignable).
   std::unique_ptr<EngineContext> ctx_ = std::make_unique<EngineContext>();
   TaskPool* pool_ = nullptr;
-  ViewSet views_;
-  std::vector<ParsedQuery> view_sources_;  // parallel to views_, with spans
-  std::vector<std::string> view_texts_;    // original rule texts (save/load)
+  // Views, base facts and maintained views: the same command core the
+  // server and WAL replay use (src/store/session.h). `save` / `load` write
+  // and read it as the single session "shell".
+  store::SessionState session_;
   Query query_;
   ParsedQuery query_source_;
   bool have_query_ = false;
-  ivm::MaterializedViewSet store_;  // base facts + maintained views
   UnionQuery last_mcr_;
   bool have_mcr_ = false;
 };

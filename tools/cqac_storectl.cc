@@ -176,13 +176,7 @@ int Compact(const std::string& dir, const std::vector<ShardRef>& shards,
     }
     std::vector<store::SessionSnapshotRef> refs;
     refs.reserve(r.value().sessions.size());
-    for (const auto& s : r.value().sessions) {
-      store::SessionSnapshotRef ref;
-      ref.name = &s->name;
-      ref.view_texts = &s->view_texts;
-      ref.store = &s->store;
-      refs.push_back(ref);
-    }
+    for (const auto& s : r.value().sessions) refs.push_back(s->SnapshotRef());
     Status wrote = st.value()->WriteSnapshot(ctx.adaptive(), refs);
     if (!wrote.ok()) {
       std::printf("shard %u: FAIL %s\n", shard.index,
