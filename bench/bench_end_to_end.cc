@@ -10,6 +10,7 @@
 
 #include "src/base/rng.h"
 #include "src/base/strings.h"
+#include "src/base/task_pool.h"
 #include "src/eval/evaluate.h"
 #include "src/gen/generators.h"
 #include "src/ir/parser.h"
@@ -240,6 +241,51 @@ BENCHMARK(BM_UnionPruneBySize)
     ->Args({20000, 0})
     ->Args({20000, 1})
     ->Args({20000, 2})
+    ->Unit(benchmark::kMicrosecond);
+
+// E18: intra-request join fan-out (the servebench answer-scan shape).
+//
+// r(X, Y) and s(Y, Z), 6000 distinct tuples each, X and Z in [0, 3000), Y
+// in [0, 6000), joined under the selective X < 100. arg0 is the worker
+// count of a pool private to the benchmark (0 = the serial join). Process
+// CPU time is measured, so cpu_time includes the pool workers: with one
+// shared index set per join, fanning out costs about the serial CPU
+// instead of rebuilding s's index in every chunk (EXPERIMENTS.md E18).
+void BM_EvalFanOut(benchmark::State& state) {
+  Rng rng(2026);
+  Database db;
+  auto fill = [&](const char* pred, int64_t a_max, int64_t b_max) {
+    while (db.Get(pred).size() < 6000) {
+      Status st = db.Insert(pred, {Value(Rational(rng.Uniform(0, a_max - 1))),
+                                   Value(Rational(rng.Uniform(0, b_max - 1)))});
+      if (!st.ok()) std::abort();
+    }
+  };
+  fill("r", 3000, 6000);
+  fill("s", 6000, 3000);
+  Query q = MustParseQuery("q(X, Z) :- r(X, Y), s(Y, Z), X < 100");
+
+  TaskPool pool(static_cast<size_t>(state.range(0)));
+  EngineContext ctx;
+  ctx.set_task_pool(&pool);
+  size_t answers = 0;
+  for (auto _ : state) {
+    auto r = EvaluateQuery(ctx, q, db);
+    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    answers = r.ValueOr(Relation{}).size();
+    benchmark::DoNotOptimize(answers);
+  }
+  state.counters["answers"] = static_cast<double>(answers);
+  state.counters["pool_threads"] = static_cast<double>(state.range(0));
+  state.counters["parallel_sections"] =
+      static_cast<double>(uint64_t{ctx.stats().parallel_sections});
+}
+BENCHMARK(BM_EvalFanOut)
+    ->Arg(0)
+    ->Arg(2)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

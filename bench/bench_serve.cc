@@ -179,7 +179,9 @@ void BM_ServePingLatency(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServePingLatency);
+// UseRealTime: the client thread mostly waits on the socket, so its CPU
+// time would inflate items_per_second; wall time is the honest divisor.
+BENCHMARK(BM_ServePingLatency)->UseRealTime();
 
 // ---- concurrent throughput + determinism ----------------------------------
 
@@ -262,6 +264,7 @@ void BM_ServeConcurrentClients(benchmark::State& state) {
 BENCHMARK(BM_ServeConcurrentClients)
     ->Arg(1)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---- sharded scaling curve ------------------------------------------------
@@ -351,6 +354,7 @@ BENCHMARK(BM_ServeShardedScaling)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

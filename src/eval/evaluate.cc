@@ -1,8 +1,12 @@
 #include "src/eval/evaluate.h"
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <numeric>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "src/base/strings.h"
@@ -92,90 +96,244 @@ class FlatIntIndex {
   size_t mask_ = 1;
 };
 
-/// Lazy single-column hash indexes over the relations of one join. Built on
-/// first probe of a (atom, column) pair, amortized across the whole join —
-/// this is what turns chain joins from quadratic scans into hash lookups.
-class JoinIndexes {
- public:
-  explicit JoinIndexes(const std::vector<const Relation*>& relations)
-      : relations_(relations),
-        per_atom_(relations.size()),
-        int_per_atom_(relations.size()) {}
-
-  const std::vector<const Tuple*>& Probe(size_t atom, size_t col,
-                                         const Value& v) {
-    auto& cols = per_atom_[atom];
-    auto it = cols.find(col);
-    if (it == cols.end()) {
-      ColumnIndex index;
-      for (const Tuple& t : *relations_[atom])
-        if (col < t.size()) index[t[col]].push_back(&t);
-      it = cols.emplace(col, std::move(index)).first;
-    }
-    auto hit = it->second.find(v);
-    return hit == it->second.end() ? kEmpty : hit->second;
-  }
-
-  /// Probe for an integral key from a small-int batch column: no Value is
-  /// materialized and the lookup goes through the packed FlatIntIndex.
-  void ProbeInt(size_t atom, size_t col, int64_t v, const Tuple* const** data,
-                size_t* len) {
-    auto& cols = int_per_atom_[atom];
-    auto it = cols.find(col);
-    if (it == cols.end()) {
-      it = cols.emplace(col, FlatIntIndex()).first;
-      it->second.Build(*relations_[atom], col);
-    }
-    it->second.Probe(v, data, len);
-  }
-
- private:
-  using ColumnIndex =
-      std::unordered_map<Value, std::vector<const Tuple*>>;
-  static const std::vector<const Tuple*> kEmpty;
-
-  const std::vector<const Relation*>& relations_;
-  std::vector<std::unordered_map<size_t, ColumnIndex>> per_atom_;
-  std::vector<std::unordered_map<size_t, FlatIntIndex>> int_per_atom_;
-};
-
-const std::vector<const Tuple*> JoinIndexes::kEmpty;
-
 /// Rows per output batch before it flushes into the next atom. Large enough
 /// to amortize per-batch planning and keep filter loops vectorizable, small
 /// enough that a deep join never holds more than atoms × kBatchRows rows of
 /// intermediate state.
 constexpr size_t kBatchRows = 1024;
 
-/// The batch-at-a-time join core behind JoinBodyBatches. One AtomPlan per
-/// body atom, compiled once per call: which position to probe on, which
+/// One comparison of the body, resolved to batch columns and constants.
+struct CompPlan {
+  CompOp op;
+  int lhs_col = -1;  // -1: lhs is the constant *lhs_const
+  int rhs_col = -1;
+  const Value* lhs_const = nullptr;
+  const Value* rhs_const = nullptr;
+};
+
+/// How one body atom extends the batch: which position to probe on, which
 /// positions to check against constants / already-bound columns / duplicate
 /// in-atom occurrences, which positions bind new columns, and which
 /// comparisons become ground after this atom (they filter here, eagerly —
 /// same pruning as the row engine's comparisons_hold after every atom).
-/// Execution is segmented depth-first: each atom accumulates up to
-/// kBatchRows matches, builds the extended output batch, vector-filters it
-/// through this atom's comparisons, and recurses.
+struct AtomPlan {
+  size_t arity = 0;
+  int probe_pos = -1;  // -1: full scan of the relation
+  int probe_col = -1;  // -1 with probe_pos >= 0: constant probe
+  const Value* probe_const = nullptr;
+  std::vector<std::pair<size_t, const Value*>> const_checks;
+  std::vector<std::pair<size_t, int>> bound_checks;   // (pos, batch col)
+  std::vector<std::pair<size_t, size_t>> dup_checks;  // (first pos, pos)
+  std::vector<std::pair<size_t, int>> new_positions;  // (pos, var)
+  size_t in_cols = 0;  // batch width entering this atom
+  std::vector<CompPlan> comps;
+};
+
+/// Compiles q's per-atom plans into *atoms and its variable -> batch column
+/// map into *var_col (-1 for variables no atom binds). Returns false when a
+/// constant-constant comparison is already false (the join has no results).
+bool CompileAtomPlans(const Query& q, std::vector<AtomPlan>* atoms,
+                      std::vector<int>* var_col) {
+  var_col->assign(q.num_vars(), -1);
+  const auto& comps = q.comparisons();
+  std::vector<char> comp_done(comps.size(), 0);
+  for (size_t ci = 0; ci < comps.size(); ++ci) {
+    if (comps[ci].lhs.is_const() && comps[ci].rhs.is_const()) {
+      comp_done[ci] = 1;
+      if (!EvaluateGroundComparison(comps[ci].lhs.value(), comps[ci].op,
+                                    comps[ci].rhs.value()))
+        return false;
+    }
+  }
+
+  std::vector<int>& col_of = *var_col;
+  int width = 0;
+  atoms->resize(q.body().size());
+  for (size_t a = 0; a < q.body().size(); ++a) {
+    const Atom& atom = q.body()[a];
+    AtomPlan& p = (*atoms)[a];
+    p.arity = atom.args.size();
+    p.in_cols = static_cast<size_t>(width);
+    std::unordered_map<int, size_t> first_pos_of_new;
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const Term& t = atom.args[i];
+      if (t.is_const()) {
+        if (p.probe_pos < 0) {
+          p.probe_pos = static_cast<int>(i);
+          p.probe_const = &t.value();
+        } else {
+          p.const_checks.emplace_back(i, &t.value());
+        }
+      } else if (col_of[t.var()] >= 0) {
+        // Bound by an earlier atom.
+        if (p.probe_pos < 0) {
+          p.probe_pos = static_cast<int>(i);
+          p.probe_col = col_of[t.var()];
+        } else {
+          p.bound_checks.emplace_back(i, col_of[t.var()]);
+        }
+      } else if (auto it = first_pos_of_new.find(t.var());
+                 it != first_pos_of_new.end()) {
+        // Repeated new variable within this atom: equality of positions.
+        p.dup_checks.emplace_back(it->second, i);
+      } else {
+        first_pos_of_new.emplace(t.var(), i);
+        p.new_positions.emplace_back(i, t.var());
+      }
+    }
+    for (const auto& [pos, var] : p.new_positions) col_of[var] = width++;
+
+    // Comparisons whose sides are all determined after this atom filter
+    // here; ones with a never-bound side are skipped (treated true), same
+    // as the row engine.
+    for (size_t ci = 0; ci < comps.size(); ++ci) {
+      if (comp_done[ci]) continue;
+      const Comparison& c = comps[ci];
+      const bool lhs_ready = c.lhs.is_const() || col_of[c.lhs.var()] >= 0;
+      const bool rhs_ready = c.rhs.is_const() || col_of[c.rhs.var()] >= 0;
+      if (!lhs_ready || !rhs_ready) continue;
+      comp_done[ci] = 1;
+      CompPlan cp;
+      cp.op = c.op;
+      if (c.lhs.is_const())
+        cp.lhs_const = &c.lhs.value();
+      else
+        cp.lhs_col = col_of[c.lhs.var()];
+      if (c.rhs.is_const())
+        cp.rhs_const = &c.rhs.value();
+      else
+        cp.rhs_col = col_of[c.rhs.var()];
+      p.comps.push_back(cp);
+    }
+  }
+  return true;
+}
+
+/// Lazy single-column hash indexes over the relations of one join, one slot
+/// per body atom, keyed on that atom's planned probe position. Each index
+/// kind is built at most once, on first use, under the slot's mutex; a
+/// built index is never written again, so every chunk of a fanned-out join
+/// can share one set, and a probe of a built index costs one acquire load,
+/// no lock. This is what turns chain joins from quadratic scans into hash
+/// lookups.
+class JoinIndexes {
+ public:
+  using ValueIndex = std::unordered_map<Value, std::vector<const Tuple*>>;
+
+  JoinIndexes(const std::vector<const Relation*>& relations,
+              const std::vector<AtomPlan>& atoms)
+      : relations_(relations), slots_(relations.size()) {
+    for (size_t a = 0; a < atoms.size(); ++a)
+      slots_[a].col = atoms[a].probe_pos;
+  }
+
+  /// The index of `atom` keyed by the full Value at its probe position.
+  const ValueIndex& Values(size_t atom) {
+    Slot& s = slots_[atom];
+    BuildOnce(s, s.values_built, [&] {
+      const size_t col = static_cast<size_t>(s.col);
+      for (const Tuple& t : *relations_[atom])
+        if (col < t.size()) s.values[t[col]].push_back(&t);
+    });
+    return s.values;
+  }
+
+  /// The tuples of `atom` whose probe position equals `v`.
+  const std::vector<const Tuple*>& Probe(size_t atom, const Value& v) {
+    const ValueIndex& index = Values(atom);
+    auto hit = index.find(v);
+    return hit == index.end() ? kEmpty : hit->second;
+  }
+
+  /// The packed index of `atom` over integral keys, which small-int batch
+  /// columns probe without materializing a Value.
+  const FlatIntIndex& Ints(size_t atom) {
+    Slot& s = slots_[atom];
+    BuildOnce(s, s.ints_built, [&] {
+      s.ints.Build(*relations_[atom], static_cast<size_t>(s.col));
+    });
+    return s.ints;
+  }
+
+ private:
+  struct Slot {
+    int col = -1;  // the atom's probe position; fixed before any probe
+    std::mutex build_mu;
+    std::atomic<bool> values_built{false};
+    std::atomic<bool> ints_built{false};
+    ValueIndex values;
+    FlatIntIndex ints;
+  };
+
+  /// Double-checked build: the release store publishes the finished index
+  /// to every later acquire load. (std::call_once costs several
+  /// thread-local accesses per call, which the tiny serial joins of IVM
+  /// and QueryYieldsTuple would pay on every probed batch.)
+  template <typename Build>
+  static void BuildOnce(Slot& s, std::atomic<bool>& built, Build&& build) {
+    if (built.load(std::memory_order_acquire)) return;
+    std::lock_guard<std::mutex> lock(s.build_mu);
+    if (built.load(std::memory_order_relaxed)) return;
+    build();
+    built.store(true, std::memory_order_release);
+  }
+
+  static const std::vector<const Tuple*> kEmpty;
+
+  const std::vector<const Relation*>& relations_;
+  std::vector<Slot> slots_;
+};
+
+const std::vector<const Tuple*> JoinIndexes::kEmpty;
+
+/// One join compiled once: the per-atom plans, the variable -> batch column
+/// map and the index set. Every BatchJoiner that runs the join — the one
+/// serial joiner, or each chunk of a fan-out — reads the plans and probes
+/// the same indexes, so each (atom, column) index is built once per join.
+struct CompiledJoin {
+  CompiledJoin(const Query& query, const std::vector<const Relation*>& rels)
+      : q(query),
+        relations(rels),
+        satisfiable(CompileAtomPlans(query, &atoms, &var_col)),
+        indexes(rels, atoms) {}
+
+  const Query& q;
+  const std::vector<const Relation*>& relations;
+  // Declared before `satisfiable`, whose initializer fills them.
+  std::vector<AtomPlan> atoms;
+  std::vector<int> var_col;
+  const bool satisfiable;
+  JoinIndexes indexes;
+};
+
+/// A contiguous run of atom 0's tuples: what one chunk of a fanned-out join
+/// scans in place of the whole relation.
+using TupleSlice = std::span<const Tuple* const>;
+
+/// The batch-at-a-time join core behind JoinBodyBatches, running one
+/// CompiledJoin. Execution is segmented depth-first: each atom accumulates
+/// up to kBatchRows matches, builds the extended output batch,
+/// vector-filters it through this atom's comparisons, and recurses.
 class BatchJoiner {
  public:
-  BatchJoiner(const Query& q, const std::vector<const Relation*>& relations,
+  BatchJoiner(CompiledJoin& join,
               FunctionRef<bool(const Batch&, const std::vector<int>&)> sink,
               FunctionRef<bool()> checkpoint, const JoinIndexSource* ext,
               EngineStats* stats)
-      : q_(q),
-        relations_(relations),
+      : join_(join),
         sink_(sink),
         checkpoint_(checkpoint),
         ext_(ext),
-        stats_(stats),
-        indexes_(relations) {}
+        stats_(stats) {}
 
-  /// Returns false iff the checkpoint aborted the join.
-  bool Run() {
-    if (Plan()) {
+  /// Runs the join over all of atom 0, or over just `*slice` of it when
+  /// `slice` is non-null. Returns false iff the checkpoint aborted the join.
+  bool Run(const TupleSlice* slice = nullptr) {
+    slice_ = slice;
+    if (join_.satisfiable) {
       Batch unit;
       unit.rows = 1;
-      if (q_.body().empty()) {
+      if (join_.q.body().empty()) {
         Emit(unit);
       } else {
         Process(0, unit);
@@ -189,106 +347,8 @@ class BatchJoiner {
   }
 
  private:
-  struct CompPlan {
-    CompOp op;
-    int lhs_col = -1;  // -1: lhs is the constant *lhs_const
-    int rhs_col = -1;
-    const Value* lhs_const = nullptr;
-    const Value* rhs_const = nullptr;
-  };
-
-  struct AtomPlan {
-    size_t arity = 0;
-    int probe_pos = -1;  // -1: full scan of the relation
-    int probe_col = -1;  // -1 with probe_pos >= 0: constant probe
-    const Value* probe_const = nullptr;
-    std::vector<std::pair<size_t, const Value*>> const_checks;
-    std::vector<std::pair<size_t, int>> bound_checks;   // (pos, batch col)
-    std::vector<std::pair<size_t, size_t>> dup_checks;  // (first pos, pos)
-    std::vector<std::pair<size_t, int>> new_positions;  // (pos, var)
-    size_t in_cols = 0;  // batch width entering this atom
-    std::vector<CompPlan> comps;
-  };
-
-  /// Compiles the per-atom plans. Returns false when a constant-constant
-  /// comparison is already false (the join has no results).
-  bool Plan() {
-    var_col_.assign(q_.num_vars(), -1);
-    const auto& comps = q_.comparisons();
-    std::vector<char> comp_done(comps.size(), 0);
-    for (size_t ci = 0; ci < comps.size(); ++ci) {
-      if (comps[ci].lhs.is_const() && comps[ci].rhs.is_const()) {
-        comp_done[ci] = 1;
-        if (!EvaluateGroundComparison(comps[ci].lhs.value(), comps[ci].op,
-                                      comps[ci].rhs.value()))
-          return false;
-      }
-    }
-
-    int width = 0;
-    plans_.resize(q_.body().size());
-    for (size_t a = 0; a < q_.body().size(); ++a) {
-      const Atom& atom = q_.body()[a];
-      AtomPlan& p = plans_[a];
-      p.arity = atom.args.size();
-      p.in_cols = static_cast<size_t>(width);
-      std::unordered_map<int, size_t> first_pos_of_new;
-      for (size_t i = 0; i < atom.args.size(); ++i) {
-        const Term& t = atom.args[i];
-        if (t.is_const()) {
-          if (p.probe_pos < 0) {
-            p.probe_pos = static_cast<int>(i);
-            p.probe_const = &t.value();
-          } else {
-            p.const_checks.emplace_back(i, &t.value());
-          }
-        } else if (var_col_[t.var()] >= 0) {
-          // Bound by an earlier atom.
-          if (p.probe_pos < 0) {
-            p.probe_pos = static_cast<int>(i);
-            p.probe_col = var_col_[t.var()];
-          } else {
-            p.bound_checks.emplace_back(i, var_col_[t.var()]);
-          }
-        } else if (auto it = first_pos_of_new.find(t.var());
-                   it != first_pos_of_new.end()) {
-          // Repeated new variable within this atom: equality of positions.
-          p.dup_checks.emplace_back(it->second, i);
-        } else {
-          first_pos_of_new.emplace(t.var(), i);
-          p.new_positions.emplace_back(i, t.var());
-        }
-      }
-      for (const auto& [pos, var] : p.new_positions) var_col_[var] = width++;
-
-      // Comparisons whose sides are all determined after this atom filter
-      // here; ones with a never-bound side are skipped (treated true), same
-      // as the row engine.
-      for (size_t ci = 0; ci < comps.size(); ++ci) {
-        if (comp_done[ci]) continue;
-        const Comparison& c = comps[ci];
-        const bool lhs_ready = c.lhs.is_const() || var_col_[c.lhs.var()] >= 0;
-        const bool rhs_ready = c.rhs.is_const() || var_col_[c.rhs.var()] >= 0;
-        if (!lhs_ready || !rhs_ready) continue;
-        comp_done[ci] = 1;
-        CompPlan cp;
-        cp.op = c.op;
-        if (c.lhs.is_const())
-          cp.lhs_const = &c.lhs.value();
-        else
-          cp.lhs_col = var_col_[c.lhs.var()];
-        if (c.rhs.is_const())
-          cp.rhs_const = &c.rhs.value();
-        else
-          cp.rhs_col = var_col_[c.rhs.var()];
-        p.comps.push_back(cp);
-      }
-    }
-    return true;
-  }
-
   void Process(size_t atom_idx, const Batch& in) {
-    const AtomPlan& p = plans_[atom_idx];
+    const AtomPlan& p = join_.atoms[atom_idx];
     SelVector src_rows;
     std::vector<const Tuple*> matches;
     src_rows.reserve(kBatchRows);
@@ -315,70 +375,91 @@ class BatchJoiner {
       }
     };
 
+    if (atom_idx == 0 && slice_ != nullptr) {
+      // A fan-out chunk scans its slice of atom 0 (the unit batch has one
+      // row). Nothing is bound before atom 0, so its probe position can
+      // only hold a constant, which the scan checks instead.
+      const bool check = p.probe_pos >= 0;
+      const size_t pos = check ? static_cast<size_t>(p.probe_pos) : 0;
+      for (const Tuple* t : *slice_) {
+        if (stop_ || aborted_) return;
+        if (check && (t->size() != p.arity || !((*t)[pos] == *p.probe_const)))
+          continue;
+        consider(0, *t);
+      }
+    } else if (p.probe_pos < 0) {
+      for (uint32_t row = 0; row < in.rows; ++row)
+        for (const Tuple& t : *join_.relations[atom_idx]) {
+          if (stop_ || aborted_) return;
+          consider(row, t);
+        }
+    } else {
+      ProbeEach(atom_idx, in, consider);
+    }
+    if (!src_rows.empty()) Flush(atom_idx, in, src_rows, matches);
+  }
+
+  /// Feeds consider(row, tuple) every tuple of atom `atom_idx` that matches
+  /// `in`'s row on the probe position. The index (caller-provided or
+  /// internal) returns exact matches there, so no recheck is planned for it.
+  template <typename Consider>
+  void ProbeEach(size_t atom_idx, const Batch& in, Consider& consider) {
+    const AtomPlan& p = join_.atoms[atom_idx];
+    const size_t pos = static_cast<size_t>(p.probe_pos);
+    JoinIndexes& indexes = join_.indexes;
+
     // A constant probe hits the same tuple list for every input row.
     const std::vector<const Tuple*>* const_hits = nullptr;
-    if (p.probe_pos >= 0 && p.probe_col < 0) {
-      const size_t pos = static_cast<size_t>(p.probe_pos);
+    if (p.probe_col < 0) {
       const_hits =
           ext_ == nullptr ? nullptr : ext_->Probe(atom_idx, pos, *p.probe_const);
       if (const_hits == nullptr)
-        const_hits = &indexes_.Probe(atom_idx, pos, *p.probe_const);
+        const_hits = &indexes.Probe(atom_idx, *p.probe_const);
     }
 
     // `ext_maybe` clears as soon as one probe shows the source does not
     // cover this (atom, col) — coverage is per column, not per value, so
     // later rows go straight to the internal index (the int64-keyed one
-    // when the probe column is on the small-int path).
+    // when the probe column is on the small-int path). The internal index
+    // is resolved once per batch, not per row.
     bool ext_maybe = ext_ != nullptr;
+    const JoinIndexes::ValueIndex* values = nullptr;
+    const FlatIntIndex* ints = nullptr;
     for (uint32_t row = 0; row < in.rows; ++row) {
       if (stop_ || aborted_) return;
-      if (p.probe_pos >= 0) {
-        const Tuple* const* hit_data = nullptr;
-        size_t hit_len = 0;
-        if (const_hits != nullptr) {
-          hit_data = const_hits->data();
-          hit_len = const_hits->size();
+      const Tuple* const* hit_data = nullptr;
+      size_t hit_len = 0;
+      if (const_hits != nullptr) {
+        hit_data = const_hits->data();
+        hit_len = const_hits->size();
+      } else {
+        const Column& pcol = in.cols[p.probe_col];
+        if (ext_maybe) {
+          const Value v = pcol.At(row);
+          const std::vector<const Tuple*>* hits = ext_->Probe(atom_idx, pos, v);
+          if (hits == nullptr) {
+            ext_maybe = false;
+            hits = &indexes.Probe(atom_idx, v);
+          }
+          hit_data = hits->data();
+          hit_len = hits->size();
+        } else if (pcol.small_int()) {
+          if (ints == nullptr) ints = &indexes.Ints(atom_idx);
+          ints->Probe(pcol.SmallIntAt(row), &hit_data, &hit_len);
         } else {
-          const size_t pos = static_cast<size_t>(p.probe_pos);
-          const Column& pcol = in.cols[p.probe_col];
-          if (ext_maybe) {
-            const Value v = pcol.At(row);
-            const std::vector<const Tuple*>* hits =
-                ext_->Probe(atom_idx, pos, v);
-            if (hits != nullptr) {
-              hit_data = hits->data();
-              hit_len = hits->size();
-            } else {
-              ext_maybe = false;
-              const std::vector<const Tuple*>& h =
-                  indexes_.Probe(atom_idx, pos, v);
-              hit_data = h.data();
-              hit_len = h.size();
-            }
-          } else if (pcol.small_int()) {
-            indexes_.ProbeInt(atom_idx, pos, pcol.SmallIntAt(row), &hit_data,
-                              &hit_len);
-          } else {
-            const std::vector<const Tuple*>& h =
-                indexes_.Probe(atom_idx, pos, pcol.At(row));
-            hit_data = h.data();
-            hit_len = h.size();
+          if (values == nullptr) values = &indexes.Values(atom_idx);
+          auto hit = values->find(pcol.At(row));
+          if (hit != values->end()) {
+            hit_data = hit->second.data();
+            hit_len = hit->second.size();
           }
         }
-        // The index (caller-provided or internal) returns exact matches on
-        // the probe position, so no equality recheck is planned for it.
-        for (size_t h = 0; h < hit_len; ++h) {
-          if (stop_ || aborted_) return;
-          consider(row, *hit_data[h]);
-        }
-      } else {
-        for (const Tuple& t : *relations_[atom_idx]) {
-          if (stop_ || aborted_) return;
-          consider(row, t);
-        }
+      }
+      for (size_t h = 0; h < hit_len; ++h) {
+        if (stop_ || aborted_) return;
+        consider(row, *hit_data[h]);
       }
     }
-    if (!src_rows.empty()) Flush(atom_idx, in, src_rows, matches);
   }
 
   /// Builds the extended batch for the accumulated matches, filters it
@@ -386,7 +467,7 @@ class BatchJoiner {
   /// sink after the last one).
   void Flush(size_t atom_idx, const Batch& in, const SelVector& src_rows,
              const std::vector<const Tuple*>& matches) {
-    const AtomPlan& p = plans_[atom_idx];
+    const AtomPlan& p = join_.atoms[atom_idx];
     Batch out;
     out.cols.reserve(p.in_cols + p.new_positions.size());
     for (size_t c = 0; c < p.in_cols; ++c) {
@@ -420,7 +501,7 @@ class BatchJoiner {
       out.Filter(sel);
     }
     if (out.rows == 0) return;
-    if (atom_idx + 1 == q_.body().size()) {
+    if (atom_idx + 1 == join_.q.body().size()) {
       Emit(out);
     } else {
       Process(atom_idx + 1, out);
@@ -430,19 +511,16 @@ class BatchJoiner {
   void Emit(const Batch& b) {
     if (b.rows == 0) return;
     ++batches_;
-    if (!sink_(b, var_col_)) stop_ = true;
+    if (!sink_(b, join_.var_col)) stop_ = true;
   }
 
-  const Query& q_;
-  const std::vector<const Relation*>& relations_;
+  CompiledJoin& join_;
   FunctionRef<bool(const Batch&, const std::vector<int>&)> sink_;
   FunctionRef<bool()> checkpoint_;
   const JoinIndexSource* ext_;
   EngineStats* stats_;
-  JoinIndexes indexes_;
 
-  std::vector<AtomPlan> plans_;
-  std::vector<int> var_col_;
+  const TupleSlice* slice_ = nullptr;
   bool stop_ = false;
   bool aborted_ = false;
   uint64_t steps_ = 0;
@@ -457,7 +535,8 @@ bool JoinBodyBatches(const Query& q,
                      FunctionRef<bool(const Batch&, const std::vector<int>&)> sink,
                      FunctionRef<bool()> checkpoint,
                      const JoinIndexSource* indexes, EngineStats* stats) {
-  return BatchJoiner(q, relations, sink, checkpoint, indexes, stats).Run();
+  CompiledJoin join(q, relations);
+  return BatchJoiner(join, sink, checkpoint, indexes, stats).Run();
 }
 
 void BatchHeadProjector::ForEachHead(const Batch& b,
@@ -524,21 +603,20 @@ class RelationBuilder {
   size_t watermark_ = kMinWatermark;
 };
 
-/// Joins q over `relations` into *results batch-at-a-time; returns false
-/// when the checkpoint aborted the search.
-bool JoinInto(const Query& q, const std::vector<const Relation*>& relations,
-              FunctionRef<bool()> checkpoint, Relation* results,
-              EngineStats* stats = nullptr) {
-  BatchHeadProjector proj(q);
+/// Joins `join` into *results batch-at-a-time, over just `*slice` of atom 0
+/// when `slice` is non-null; returns false when the checkpoint aborted the
+/// search.
+bool JoinInto(CompiledJoin& join, FunctionRef<bool()> checkpoint,
+              Relation* results, EngineStats* stats = nullptr,
+              const TupleSlice* slice = nullptr) {
+  BatchHeadProjector proj(join.q);
   RelationBuilder builder;
-  const bool ok = JoinBodyBatches(
-      q, relations,
-      [&](const Batch& b, const std::vector<int>& var_col) {
-        proj.ForEachHead(b, var_col,
-                         [&](const Tuple& head) { builder.Add(head); });
-        return true;
-      },
-      checkpoint, nullptr, stats);
+  auto sink = [&](const Batch& b, const std::vector<int>& var_col) {
+    proj.ForEachHead(b, var_col, [&](const Tuple& head) { builder.Add(head); });
+    return true;
+  };
+  const bool ok =
+      BatchJoiner(join, sink, checkpoint, nullptr, stats).Run(slice);
   if (ok) builder.MoveInto(results);
   return ok;
 }
@@ -551,8 +629,9 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db) {
   relations.reserve(q.body().size());
   for (const Atom& a : q.body()) relations.push_back(&db.Get(a.predicate));
 
+  CompiledJoin join(q, relations);
   Relation results;
-  JoinInto(q, relations, [] { return true; }, &results);
+  JoinInto(join, [] { return true; }, &results);
   return results;
 }
 
@@ -572,22 +651,33 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
   // identical at every thread count.
   Query planned;
   const Query* pq = &qin;
-  if (options.join_order == EvalOptions::JoinOrder::kPlanned &&
-      qin.body().size() > 1) {
+  const bool plan_order =
+      options.join_order == EvalOptions::JoinOrder::kPlanned &&
+      qin.body().size() > 1;
+  if (plan_order || options.executed_plan != nullptr) {
     auto rows = [&db](const std::string& p) { return db.Get(p).size(); };
     auto distinct = [&db](const std::string& p, size_t c) {
       return db.stats().DistinctEstimate(p, c);
     };
     plan::JoinOrderPlan jp =
         plan::PlanJoinOrder(qin, plan::Cardinalities{rows, distinct});
-    ++ctx.stats().plan_decisions;
-    if (jp.reordered) {
-      ++ctx.stats().plan_join_reorders;
-      planned = qin;
-      planned.body().clear();
-      for (size_t i : jp.order) planned.body().push_back(qin.body()[i]);
-      pq = &planned;
+    if (plan_order) {
+      ++ctx.stats().plan_decisions;
+      if (jp.reordered) {
+        ++ctx.stats().plan_join_reorders;
+        planned = qin;
+        planned.body().clear();
+        for (size_t i : jp.order) planned.body().push_back(qin.body()[i]);
+        pq = &planned;
+      }
+    } else if (jp.reordered) {
+      // kSyntactic: report the written order, which is what runs.
+      std::iota(jp.order.begin(), jp.order.end(), size_t{0});
+      jp.est_planned = jp.est_syntactic;
+      jp.reordered = false;
     }
+    if (options.executed_plan != nullptr)
+      *options.executed_plan = std::move(jp);
   }
   const Query& q = *pq;
 
@@ -596,6 +686,7 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
   for (const Atom& a : q.body()) relations.push_back(&db.Get(a.predicate));
 
   auto checkpoint = [&ctx] { return !ctx.ShouldStop(); };
+  CompiledJoin join(q, relations);
 
   // Fan out only when atom 0 has enough tuples to split; results are a
   // set, so the chunk merge is order-independent and output is identical
@@ -605,15 +696,17 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
                        relations[0]->size() >= 2 * (ctx.parallelism() + 1);
   if (!fan_out) {
     Relation results;
-    if (!JoinInto(q, relations, checkpoint, &results, &ctx.stats())) {
+    if (!JoinInto(join, checkpoint, &results, &ctx.stats())) {
       ++ctx.stats().budget_exhaustions;
       return Status::ResourceExhausted("join evaluation exceeded the budget");
     }
     return results;
   }
 
-  // Deal atom 0's tuples round-robin into one sub-relation per chunk; each
-  // chunk joins independently with its own lazy indexes.
+  // Cut one pointer array over atom 0 into contiguous slices, one per
+  // chunk. The chunks scan their slices in place and share `join`, so the
+  // indexes of the later atoms are built once, by whichever chunk needs
+  // them first.
   std::vector<const Tuple*> first;
   first.reserve(relations[0]->size());
   for (const Tuple& t : *relations[0]) first.push_back(&t);
@@ -623,12 +716,9 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
   std::vector<Relation> chunk_results(num_chunks);
   std::vector<char> chunk_aborted(num_chunks, 0);
   CtxParallelFor(ctx, num_chunks, [&](size_t c) {
-    Relation sub;
-    for (size_t i = c; i < first.size(); i += num_chunks)
-      sub.insert(*first[i]);
-    std::vector<const Relation*> rels = relations;
-    rels[0] = &sub;
-    if (!JoinInto(q, rels, checkpoint, &chunk_results[c], &ctx.stats()))
+    const TupleSlice slice(first.data() + c * first.size() / num_chunks,
+                           first.data() + (c + 1) * first.size() / num_chunks);
+    if (!JoinInto(join, checkpoint, &chunk_results[c], &ctx.stats(), &slice))
       chunk_aborted[c] = 1;
   });
 
@@ -674,7 +764,21 @@ void RowJoinReference(
     const Query& q, const std::vector<const Relation*>& relations,
     FunctionRef<void(const std::vector<std::optional<Value>>&)> cb) {
   std::vector<std::optional<Value>> binding(q.num_vars(), std::nullopt);
-  JoinIndexes indexes(relations);
+
+  // Lazy per-(atom, column) indexes of the oracle's own, so it shares no
+  // index code with the engine under test.
+  std::map<std::pair<size_t, size_t>,
+           std::unordered_map<Value, std::vector<const Tuple*>>>
+      indexes;
+  auto matching = [&](size_t atom, size_t col,
+                      const Value& v) -> const std::vector<const Tuple*>* {
+    auto [it, fresh] = indexes.try_emplace({atom, col});
+    if (fresh)
+      for (const Tuple& t : *relations[atom])
+        if (col < t.size()) it->second[t[col]].push_back(&t);
+    auto hit = it->second.find(v);
+    return hit == it->second.end() ? nullptr : &hit->second;
+  };
 
   auto term_value = [&binding](const Term& t, Value* out) {
     if (t.is_const()) {
@@ -730,8 +834,8 @@ void RowJoinReference(
     Value probe{0};
     for (size_t i = 0; i < atom.args.size(); ++i) {
       if (term_value(atom.args[i], &probe)) {
-        for (const Tuple* t : indexes.Probe(atom_idx, i, probe))
-          try_tuple(*t);
+        if (const auto* hits = matching(atom_idx, i, probe))
+          for (const Tuple* t : *hits) try_tuple(*t);
         return;
       }
     }

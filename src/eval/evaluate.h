@@ -18,6 +18,7 @@
 #include "src/eval/database.h"
 #include "src/ir/query.h"
 #include "src/ir/view.h"
+#include "src/plan/planner.h"
 
 namespace cqac {
 
@@ -39,15 +40,23 @@ struct EvalOptions {
   /// body permutation).
   enum class JoinOrder { kPlanned, kSyntactic };
   JoinOrder join_order = JoinOrder::kPlanned;
+
+  /// When non-null, receives the join order that ran, with its estimates:
+  /// the planner's choice under kPlanned, the written order under
+  /// kSyntactic, and for bodies of fewer than two atoms the trivial plan
+  /// (which bumps no plan_* counter). Callers that surface the plan read it
+  /// here instead of planning a second time.
+  plan::JoinOrderPlan* executed_plan = nullptr;
 };
 
 /// Context-aware variant: honours the budget deadline / cancellation flag
 /// (kResourceExhausted on abort), records eval_batches /
 /// eval_smallint_fallbacks / plan_* stats, plans the body atom order (see
 /// EvalOptions), and fans the join out over the context's task pool by
-/// dealing the first planned atom's tuples round-robin into chunks. The
-/// order is chosen from the database alone, before any fan-out, so the
-/// result set is identical at every thread count.
+/// cutting the first planned atom's tuples into contiguous chunks that
+/// share one compiled plan and one index set. The order is chosen from the
+/// database alone, before any fan-out, so the result set is identical at
+/// every thread count.
 Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,
                                const Database& db);
 Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,

@@ -412,21 +412,16 @@ std::string Service::HandleEval(const Request& req) {
   Status valid = q.value().Validate();
   if (!valid.ok()) return ErrorResponse(req, valid);
 
-  const Database& base = session.value()->state.store.base();
-  Result<Relation> r = EvaluateQuery(ctx_, q.value(), base);
+  // The join order EvaluateQuery ran, surfaced as an explicit plan record.
+  plan::JoinOrderPlan join_order;
+  EvalOptions options;
+  options.executed_plan = &join_order;
+  Result<Relation> r = EvaluateQuery(ctx_, q.value(),
+                                     session.value()->state.store.base(),
+                                     options);
   if (!r.ok()) return ErrorResponse(req, r.status());
-
-  // The same join-order decision EvaluateQuery just made (it plans from
-  // the database alone, so recomputing it here is exact), surfaced as an
-  // explicit plan record.
-  auto rows = [&base](const std::string& p) { return base.Get(p).size(); };
-  auto distinct = [&base](const std::string& p, size_t c) {
-    return base.stats().DistinctEstimate(p, c);
-  };
   plan::Plan eval_plan;
-  eval_plan.decisions.push_back(
-      plan::PlanJoinOrder(q.value(), plan::Cardinalities{rows, distinct})
-          .ToDecision());
+  eval_plan.decisions.push_back(join_order.ToDecision());
 
   std::string out = BeginResponse(req);
   JsonField(&out, "count", StrCat(r.value().size()));

@@ -5,6 +5,7 @@
 // (non-integral rationals, symbols, magnitudes near INT64_MAX).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -47,12 +48,21 @@ void ExpectMatchesReference(const Query& q, const Database& db,
     TaskPool pool(threads);
     EngineContext ctx;
     ctx.set_task_pool(&pool);
-    Result<Relation> got = EvaluateQuery(ctx, q, db);
-    ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-    EXPECT_EQ(RenderRelation(got.value()), expected)
-        << what << " diverged at threads=" << threads;
+    // kSyntactic pins the written atom 0 as the one the fan-out slices.
+    for (EvalOptions::JoinOrder order : {EvalOptions::JoinOrder::kPlanned,
+                                         EvalOptions::JoinOrder::kSyntactic}) {
+      EvalOptions options;
+      options.join_order = order;
+      Result<Relation> got = EvaluateQuery(ctx, q, db, options);
+      ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+      EXPECT_EQ(RenderRelation(got.value()), expected)
+          << what << " diverged at threads=" << threads
+          << " order=" << static_cast<int>(order);
+    }
   }
 }
+
+Value Num(int64_t n, int64_t d = 1) { return Value(Rational(n, d)); }
 
 TEST(EvalColumnarTest, RandomizedSweepMatchesReference) {
   for (uint64_t seed : {1u, 7u, 19u, 42u, 101u, 2026u}) {
@@ -161,6 +171,99 @@ TEST(EvalColumnarTest, QueryYieldsTupleAgreesWithFullEvaluation) {
     Result<bool> hit = QueryYieldsTuple(q, db, miss, &stats);
     ASSERT_TRUE(hit.ok());
     EXPECT_FALSE(hit.value());
+  }
+}
+
+// ---- Fan-out ---------------------------------------------------------------
+//
+// With a pool attached, EvaluateQuery cuts atom 0 into contiguous slices
+// that share one compiled join and one index set. These inputs hold at
+// least 1000 tuples in atom 0, so at every thread count each chunk's slice
+// is non-empty and reaches atom 1.
+
+TEST(EvalColumnarTest, FanOutConstantInFirstAtomBecomesSliceCheck) {
+  // Atom 0 probes on a constant in the serial join; a chunk scanning its
+  // slice must check it instead, and the second constant stays a check.
+  Database db;
+  for (int64_t i = 0; i < 1200; ++i) {
+    ASSERT_TRUE(db.Insert("r", {Num(i % 5), Num(i), Num(i % 40)}).ok());
+    ASSERT_TRUE(db.Insert("s", {Num(i % 40), Num(i)}).ok());
+  }
+  ExpectMatchesReference(
+      MustParseQuery("q(X, Z) :- r(3, X, Y), s(Y, Z), X < 900"), db,
+      "constant probe in atom 0");
+  ExpectMatchesReference(MustParseQuery("q(X, Z) :- r(3, X, 7), s(7, Z)"), db,
+                         "constant probe and check in atom 0");
+}
+
+TEST(EvalColumnarTest, FanOutRepeatedVariableAndArityMismatchInFirstAtom) {
+  Database db;
+  for (int64_t i = 0; i < 1200; ++i) {
+    ASSERT_TRUE(db.Insert("r", {Num(i % 30), Num(i % 20), Num(i)}).ok());
+    ASSERT_TRUE(db.Insert("s", {Num(i), Num(i % 7)}).ok());
+  }
+  // r(X, X, Y) keeps the tuples whose first two columns agree.
+  ExpectMatchesReference(MustParseQuery("q(X, Z) :- r(X, X, Y), s(Y, Z)"), db,
+                         "repeated variable in atom 0");
+  // A Database keeps one arity per relation, so the mismatch is between
+  // atom 0 and every tuple of r. The last query's constant sits past the
+  // end of each tuple: a slice scan must test the arity before it.
+  ExpectMatchesReference(MustParseQuery("q(X) :- r(X, X), s(X, Y)"), db,
+                         "atom 0 narrower than r");
+  ExpectMatchesReference(MustParseQuery("q(X) :- r(X, X, Y, 5), s(Y, X)"), db,
+                         "atom 0 wider than r, constant past the tuple end");
+}
+
+TEST(EvalColumnarTest, FanOutChunksBuildBothIndexKindsOfOneProbeColumn) {
+  // r's join column is all small integers for X < 600 and mixes symbols
+  // and non-integral rationals above, so the chunks over the low slices
+  // probe s through the int64-keyed index while the chunks over the high
+  // slices probe it through the Value-keyed one — both built once, while
+  // other chunks probe.
+  Database db;
+  for (int64_t x = 0; x < 1200; ++x) {
+    Value y = Num(x % 50);
+    if (x >= 600 && x % 3 == 0) y = Value(StrCat("k", x % 5));
+    if (x >= 600 && x % 3 == 1) y = Num(2 * (x % 50) + 1, 2);
+    ASSERT_TRUE(db.Insert("r", {Num(x), y}).ok());
+  }
+  for (int64_t k = 0; k < 50; ++k) {
+    ASSERT_TRUE(db.Insert("s", {Num(k), Num(k)}).ok());
+    ASSERT_TRUE(db.Insert("s", {Num(2 * k + 1, 2), Num(2000 + k)}).ok());
+  }
+  for (int64_t k = 0; k < 5; ++k)
+    ASSERT_TRUE(db.Insert("s", {Value(StrCat("k", k)), Num(1000 + k)}).ok());
+  ExpectMatchesReference(MustParseQuery("q(X, Z) :- r(X, Y), s(Y, Z)"), db,
+                         "mixed probe column");
+  ExpectMatchesReference(
+      MustParseQuery("q(X, Z) :- r(X, Y), s(Y, Z), Z < 1003"), db,
+      "mixed probe column with a filter");
+}
+
+TEST(EvalColumnarTest, FanOutWithExpiredDeadlineIsExhausted) {
+  // Every r tuple joins 500 s tuples, so each chunk passes the join's
+  // checkpoint many times over; a deadline already in the past must abort
+  // every chunk and fail the whole evaluation.
+  Database db;
+  for (int64_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(db.Insert("r", {Num(i), Num(i % 4)}).ok());
+    ASSERT_TRUE(db.Insert("s", {Num(i % 4), Num(i)}).ok());
+  }
+  Query q = MustParseQuery("q(X, Z) :- r(X, Y), s(Y, Z)");
+  for (size_t threads : {1, 4, 8}) {
+    TaskPool pool(threads);
+    Budget budget;
+    budget.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    EngineContext ctx(budget);
+    ctx.set_task_pool(&pool);
+    Result<Relation> got = EvaluateQuery(ctx, q, db);
+    ASSERT_FALSE(got.ok()) << "threads=" << threads;
+    EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
+        << got.status();
+    EXPECT_GT(uint64_t{ctx.stats().budget_exhaustions}, 0u);
+    EXPECT_GT(uint64_t{ctx.stats().parallel_sections}, 0u)
+        << "threads=" << threads << " did not fan out";
   }
 }
 

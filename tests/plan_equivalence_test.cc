@@ -28,6 +28,7 @@
 #include "src/ir/parser.h"
 #include "src/ivm/delta.h"
 #include "src/ivm/maintain.h"
+#include "src/plan/planner.h"
 #include "src/rewriting/answer.h"
 
 namespace cqac {
@@ -98,6 +99,58 @@ TEST(PlanEquivalence, JoinOrderInvariantAcrossPinsThreadsAndPermutations) {
         EXPECT_EQ(RelationString(r.value()), expected)
             << "seed=" << seed << " threads=" << threads << " rot=" << rot;
       }
+    }
+  }
+}
+
+// EvalOptions::executed_plan hands back the join order that ran, so a
+// caller surfacing the plan (serve `eval`) need not plan a second time: it
+// must equal a fresh PlanJoinOrder under kPlanned — single-atom bodies
+// included — and the identity order under kSyntactic, and requesting it
+// must not change the plan_* counters.
+TEST(PlanEquivalence, ExecutedPlanIsThePlannersChoice) {
+  Database db;
+  for (int64_t i = 0; i < 200; ++i)
+    ASSERT_TRUE(db.Insert("a", {Value(Rational(i)), Value(Rational(i % 10))})
+                    .ok());
+  ASSERT_TRUE(db.Insert("sel", {Value(Rational(0)), Value(Rational(0))}).ok());
+  auto rows = [&db](const std::string& p) { return db.Get(p).size(); };
+  auto distinct = [&db](const std::string& p, size_t c) {
+    return db.stats().DistinctEstimate(p, c);
+  };
+
+  for (const char* text : {"q(X) :- a(X, Y), sel(Y, W).", "q(X) :- a(X, 3).",
+                           "q(X) :- sel(X, Y), a(Y, Z)."}) {
+    Query q = MustParseQuery(text);
+    const plan::JoinOrderPlan fresh =
+        plan::PlanJoinOrder(q, plan::Cardinalities{rows, distinct});
+    for (size_t threads : kThreadCounts) {
+      TaskPool pool(threads);
+      EngineContext plain_ctx, ctx;
+      plain_ctx.set_task_pool(&pool);
+      ctx.set_task_pool(&pool);
+      ASSERT_TRUE(EvaluateQuery(plain_ctx, q, db).ok());
+
+      plan::JoinOrderPlan ran;
+      EvalOptions options;
+      options.executed_plan = &ran;
+      ASSERT_TRUE(EvaluateQuery(ctx, q, db, options).ok());
+      EXPECT_EQ(ran.ToDecision().ToJson(), fresh.ToDecision().ToJson())
+          << text << " threads=" << threads;
+      EXPECT_EQ(ran.order, fresh.order) << text;
+      EXPECT_EQ(uint64_t{ctx.stats().plan_decisions},
+                uint64_t{plain_ctx.stats().plan_decisions})
+          << text;
+      EXPECT_EQ(uint64_t{ctx.stats().plan_join_reorders},
+                uint64_t{plain_ctx.stats().plan_join_reorders})
+          << text;
+
+      options.join_order = EvalOptions::JoinOrder::kSyntactic;
+      ASSERT_TRUE(EvaluateQuery(ctx, q, db, options).ok());
+      EXPECT_FALSE(ran.reordered) << text;
+      EXPECT_EQ(ran.est_planned, fresh.est_syntactic) << text;
+      for (size_t i = 0; i < ran.order.size(); ++i)
+        EXPECT_EQ(ran.order[i], i) << text;
     }
   }
 }
