@@ -53,7 +53,8 @@ Database WorldOfSize(size_t tuples, uint64_t seed) {
 void BM_EndToEndCertainAnswers(benchmark::State& state) {
   Query q = MustParseQuery(kQuery);
   ViewSet views(MustParseRules(kViews));
-  auto mcr = RewriteLsiQuery(q, views);
+  EngineContext setup;
+  auto mcr = RewriteLsiQuery(setup, q, views);
   if (!mcr.ok() || mcr.value().empty()) {
     state.SkipWithError("rewriting failed");
     return;
@@ -73,9 +74,10 @@ void BM_EndToEndCertainAnswers(benchmark::State& state) {
     benchmark::DoNotOptimize(answers);
   }
   // Soundness check outside the timed region.
-  Relation truth = EvaluateQuery(q, world).value();
-  Database vdb = MaterializeViews(views, world).value();
-  Relation certain = EvaluateUnion(mcr.value(), vdb).value();
+  EngineContext check;
+  Relation truth = EvaluateQuery(check, q, world).value();
+  Database vdb = MaterializeViews(check, views, world).value();
+  Relation certain = EvaluateUnion(check, mcr.value(), vdb).value();
   for (const Tuple& t : certain)
     if (!truth.count(t)) state.SkipWithError("unsound certain answer");
 
@@ -99,7 +101,8 @@ void BM_RewriteOnly(benchmark::State& state) {
   Query q = MustParseQuery(kQuery);
   ViewSet views(MustParseRules(kViews));
   for (auto _ : state) {
-    auto mcr = RewriteLsiQuery(q, views);
+    EngineContext ctx;  // cold: a fresh decision cache per rewrite
+    auto mcr = RewriteLsiQuery(ctx, q, views);
     if (!mcr.ok()) state.SkipWithError(mcr.status().ToString().c_str());
     benchmark::DoNotOptimize(mcr);
   }

@@ -97,7 +97,8 @@ void BM_AcBlindBaselineCoverage(benchmark::State& state) {
     BucketOptions blind;
     blind.ac_aware = false;
     BucketStats bstats;
-    auto baseline = BucketRewrite(w.q, w.views, blind, &bstats);
+    EngineContext baseline_ctx;
+    auto baseline = BucketRewrite(baseline_ctx, w.q, w.views, blind, &bstats);
     if (!mcr.ok() || !baseline.ok()) {
       state.SkipWithError("rewriting failed");
       break;
@@ -106,7 +107,8 @@ void BM_AcBlindBaselineCoverage(benchmark::State& state) {
     total = mcr.value().disjuncts.size();
     blind_rejects = bstats.verified_rejects;
     for (const Query& d : mcr.value().disjuncts) {
-      auto covered = IsContainedInUnion(d, baseline.value());
+      EngineContext check;  // cold: a fresh decision cache per call
+      auto covered = IsContainedInUnion(check, d, baseline.value());
       if (covered.ok() && !covered.value()) ++missed;
     }
   }

@@ -53,13 +53,15 @@ void BM_DpllRefutation(benchmark::State& state) {
   std::vector<std::vector<Comparison>> disjuncts;
   for (const Comparison& a : in.atoms) disjuncts.push_back({a});
   for (auto _ : state) {
-    auto r = ImpliesDisjunction(in.premise, disjuncts);
+    EngineContext ctx;
+    auto r = ImpliesDisjunction(ctx, in.premise, disjuncts);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     benchmark::DoNotOptimize(r);
   }
   // Agreement with the SI procedure.
   auto si = SiImpliesSiDisjunction(in.premise, in.atoms);
-  auto general = ImpliesDisjunction(in.premise, disjuncts);
+  EngineContext check;
+  auto general = ImpliesDisjunction(check, in.premise, disjuncts);
   if (si.ok() && general.ok() && si.value() != general.value())
     state.SkipWithError("Lemma 5.1 procedure disagrees with DPLL");
 }

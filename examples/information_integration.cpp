@@ -36,9 +36,10 @@ int main() {
   std::printf("Query:   %s\nSources:\n%s\n\n", q.ToString().c_str(),
               sources.ToString().c_str());
 
+  EngineContext ctx;
   RewriteStats stats;
-  Result<UnionQuery> mcr = RewriteLsiQuery(q, sources, RewriteOptions{},
-                                           &stats);
+  Result<UnionQuery> mcr =
+      RewriteLsiQuery(ctx, q, sources, RewriteOptions{}, &stats);
   if (!mcr.ok()) {
     std::fprintf(stderr, "rewriting failed: %s\n",
                  mcr.status().ToString().c_str());
@@ -58,10 +59,10 @@ int main() {
           "price(camry, 28). price(accord, 24). price(model3, 45). "
           "price(phantom, 400).")
           .value();
-  Database view_instance = MaterializeViews(sources, world).value();
+  Database view_instance = MaterializeViews(ctx, sources, world).value();
 
-  Relation certain = EvaluateUnion(mcr.value(), view_instance).value();
-  Relation truth = EvaluateQuery(q, world).value();
+  Relation certain = EvaluateUnion(ctx, mcr.value(), view_instance).value();
+  Relation truth = EvaluateQuery(ctx, q, world).value();
 
   std::printf("Answers via sources:");
   for (const Tuple& t : certain) std::printf(" %s", TupleToString(t).c_str());

@@ -754,8 +754,13 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
     if (mcr.has_value() && !mcr->rules.empty()) {
       run(ObligationKind::kIvmCommit, StrCat(name, " datalog retract"),
           [&]() -> Status {
-            CQAC_ASSIGN_OR_RETURN(Database vext,
-                                  MaterializeViews(inputs.views, inputs.facts));
+            // The view extension is rebuilt under its own context: the
+            // production cache and counters must not vouch for the answer
+            // being audited.
+            EngineContext fresh;
+            CQAC_ASSIGN_OR_RETURN(
+                Database vext,
+                MaterializeViews(fresh, inputs.views, inputs.facts));
             ivm::MaintainedProgram prog(mcr->MakeEngine());
             CQAC_RETURN_IF_ERROR(prog.Initialize(ctx, vext));
             ivm::DeltaDatabase delta(&prog.edb());

@@ -301,7 +301,11 @@ Status CheckErResult(const Query& q, const ViewSet& views, const ErResult& er,
       CQAC_ASSIGN_OR_RETURN(Query exp, ExpandRewriting(cr, views));
       expansions.disjuncts.push_back(std::move(exp));
     }
-    CQAC_ASSIGN_OR_RETURN(bool covered, IsContainedInUnion(qp, expansions));
+    // The re-check runs under its own context: the production decision
+    // cache and counters must not vouch for the answer being audited.
+    EngineContext fresh;
+    CQAC_ASSIGN_OR_RETURN(bool covered,
+                          IsContainedInUnion(fresh, qp, expansions));
     if (!covered)
       return Invalid(
           "the query is not contained in the union of the ER's expansions "

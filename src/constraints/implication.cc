@@ -247,14 +247,14 @@ std::vector<Comparison> NegateAtom(const Comparison& c) {
 /// DPLL-style refutation: is `base ^ clause1 ^ ... ^ clausek` satisfiable,
 /// where each clause is a disjunction of order literals? Branches on the
 /// first clause, pruning branches whose conjunction is already inconsistent.
-/// When `budget` is non-null its deadline is checked periodically; on expiry
-/// *status is set and the (meaningless) return value must be ignored.
+/// The budget's deadline is checked periodically; on expiry *status is set
+/// and the (meaningless) return value must be ignored.
 bool OrderCnfSatisfiable(std::vector<Comparison>* base,
                          const std::vector<std::vector<Comparison>>& clauses,
-                         size_t next_clause, const Budget* budget,
+                         size_t next_clause, const Budget& budget,
                          uint64_t* steps, Status* status) {
-  if (budget != nullptr && (++*steps & 0xFF) == 0) {
-    *status = budget->CheckDeadline("disjunction implication");
+  if ((++*steps & 0xFF) == 0) {
+    *status = budget.CheckDeadline("disjunction implication");
     if (!status->ok()) return false;
   }
   if (!AcsConsistent(*base)) return false;
@@ -273,7 +273,7 @@ bool OrderCnfSatisfiable(std::vector<Comparison>* base,
 Result<bool> ImpliesDisjunctionImpl(
     const std::vector<Comparison>& premise,
     const std::vector<std::vector<Comparison>>& disjuncts,
-    const Budget* budget) {
+    const Budget& budget) {
   // Validate inputs (no symbolic constants in ordered comparisons) using the
   // same collector the preorder enumerator relies on.
   std::set<int> vars;
@@ -304,16 +304,10 @@ Result<bool> ImpliesDisjunctionImpl(
 }  // namespace
 
 Result<bool> ImpliesDisjunction(
-    const std::vector<Comparison>& premise,
-    const std::vector<std::vector<Comparison>>& disjuncts) {
-  return ImpliesDisjunctionImpl(premise, disjuncts, nullptr);
-}
-
-Result<bool> ImpliesDisjunction(
     EngineContext& ctx, const std::vector<Comparison>& premise,
     const std::vector<std::vector<Comparison>>& disjuncts) {
   ++ctx.stats().disjunction_implications;
-  Result<bool> r = ImpliesDisjunctionImpl(premise, disjuncts, &ctx.budget());
+  Result<bool> r = ImpliesDisjunctionImpl(premise, disjuncts, ctx.budget());
   if (!r.ok() && r.status().code() == StatusCode::kResourceExhausted)
     ++ctx.stats().budget_exhaustions;
   return r;

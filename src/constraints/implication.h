@@ -30,6 +30,12 @@ bool AcsConsistent(const std::vector<Comparison>& cs);
 
 /// True iff `premise => c1 ^ ... ^ cn` for the conjunction `conclusion`.
 /// An inconsistent premise implies everything. Complete for dense orders.
+///
+/// The one operation with a context-free entry point: this is the
+/// polynomial graph-closure algorithm itself, and the context form below is
+/// only its memo. Callers that hold no context (Preprocess, lint, fix,
+/// explain's evidence rendering, SiImpliesSiDisjunction) call it directly,
+/// so they add no cache traffic and leave the implication_* counters alone.
 Result<bool> ImpliesConjunction(const std::vector<Comparison>& premise,
                                 const std::vector<Comparison>& conclusion);
 
@@ -82,13 +88,9 @@ bool ForEachConsistentPreorder(const std::set<int>& vars,
 /// DPLL-style branching over one negated literal per disjunct and
 /// inequality-graph consistency pruning. Worst case exponential in the
 /// number of disjuncts (this is the Pi-2-p step), independent of the number
-/// of variables. Returns Unsupported if symbolic constants occur.
-Result<bool> ImpliesDisjunction(
-    const std::vector<Comparison>& premise,
-    const std::vector<std::vector<Comparison>>& disjuncts);
-
-/// Budgeted form: checks the context's wall-clock deadline inside the DPLL
-/// search and returns ResourceExhausted when it fires.
+/// of variables. Returns Unsupported if symbolic constants occur. Checks
+/// the context's wall-clock deadline inside the DPLL search and returns
+/// ResourceExhausted when it fires.
 Result<bool> ImpliesDisjunction(
     EngineContext& ctx, const std::vector<Comparison>& premise,
     const std::vector<std::vector<Comparison>>& disjuncts);

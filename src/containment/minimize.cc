@@ -84,13 +84,4 @@ Result<Query> MinimizeQuery(EngineContext& ctx, const Query& q,
   return out;
 }
 
-Result<Query> MinimizeQuery(EngineContext& ctx, const Query& q) {
-  return MinimizeQuery(ctx, q, nullptr);
-}
-
-Result<Query> MinimizeQuery(const Query& q) {
-  EngineContext ctx;
-  return MinimizeQuery(ctx, q, nullptr);
-}
-
 }  // namespace cqac

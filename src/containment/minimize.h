@@ -31,14 +31,12 @@ struct MinimizationWitness {
 /// Returns an equivalent query with a minimal set of ordinary subgoals
 /// (greedy, deterministic: tries dropping subgoals in order, keeping the
 /// query equivalent at every step) and with redundant comparisons removed.
-/// The context overload memoizes the many pairwise containment checks the
-/// greedy fold performs (they repeat across candidate drops).
+/// The context memoizes the many pairwise containment checks the greedy
+/// fold performs (they repeat across candidate drops).
 /// When `witness` is non-null, both equivalence directions are recomputed
 /// with witness capture after the fold converges.
 Result<Query> MinimizeQuery(EngineContext& ctx, const Query& q,
-                            MinimizationWitness* witness);
-Result<Query> MinimizeQuery(EngineContext& ctx, const Query& q);
-Result<Query> MinimizeQuery(const Query& q);
+                            MinimizationWitness* witness = nullptr);
 
 }  // namespace cqac
 

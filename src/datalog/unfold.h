@@ -23,14 +23,16 @@ namespace datalog {
 struct UnfoldOptions {
   /// Maximum number of rule applications along one expansion.
   int max_depth = 6;
-  /// Hard cap on emitted disjuncts; enumeration stops (truncates) beyond it.
+  /// Hard cap on emitted disjuncts; one more is ResourceExhausted, never a
+  /// silently truncated union.
   size_t max_disjuncts = 100000;
 };
 
 /// Enumerates the expansions of `p`'s query predicate with at most
 /// `max_depth` rule applications, returning those that are IDB-free as a
 /// union of conjunctive queries (comparisons are carried along). Rules must
-/// be Skolem-free.
+/// be Skolem-free. ResourceExhausted when more than `max_disjuncts`
+/// expansions would be emitted.
 Result<UnionQuery> UnfoldProgram(const Program& p,
                                  const UnfoldOptions& options = {});
 

@@ -8,10 +8,12 @@
 //     which together memoize containment and implication results across
 //     calls that are identical up to variable renaming.
 //
-// Every algorithm in src/containment and src/rewriting has an overload
-// taking `EngineContext&` as its first parameter; the legacy overloads
-// construct a fresh context per top-level call (so existing callers keep
-// their exact semantics while still getting intra-call memoization).
+// Every engine operation (containment, implication, homomorphism search,
+// minimization, rewriting, evaluation, certain answers) has exactly one
+// entry point, and it takes `EngineContext&` as its first parameter. A
+// caller that needs a cold cache or different limits constructs its own
+// context. The one exception is the pure ImpliesConjunction (see
+// src/constraints/implication.h).
 //
 // Thread-safety model. A context is safely shareable across the workers of
 // an attached TaskPool: Intern, CacheLookup/CacheStore, every stats counter,

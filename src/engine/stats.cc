@@ -4,59 +4,6 @@
 
 namespace cqac {
 
-// One field list drives Reset, Snapshot, the snapshot arithmetic, and the
-// JSON rendering: a new counter is added here once and every accessor picks
-// it up (the list compiles against both structs, so a name that exists in
-// only one of them is rejected).
-#define CQAC_ENGINE_STATS_FIELDS(X)                                         \
-  X(containment_calls)                                                      \
-  X(containment_cache_hits)                                                 \
-  X(containment_cache_misses)                                               \
-  X(implication_calls)                                                      \
-  X(implication_cache_hits)                                                 \
-  X(implication_cache_misses)                                               \
-  X(disjunction_implications)                                               \
-  X(hom_enumerations)                                                       \
-  X(homomorphisms_found)                                                    \
-  X(intern_requests)                                                        \
-  X(queries_interned)                                                       \
-  X(fingerprint_collisions)                                                 \
-  X(cache_evictions)                                                        \
-  X(cache_flushes)                                                          \
-  X(budget_exhaustions)                                                     \
-  X(eval_batches)                                                           \
-  X(eval_smallint_fallbacks)                                                \
-  X(plan_decisions)                                                         \
-  X(plan_join_reorders)                                                     \
-  X(plan_unions_pruned)                                                     \
-  X(plan_retunes)                                                           \
-  X(rewrite_candidates)                                                     \
-  X(rewrite_verified_rejects)                                               \
-  X(parallel_sections)                                                      \
-  X(parallel_tasks)                                                         \
-  X(parallel_wall_ns)                                                       \
-  X(ivm_applies)                                                            \
-  X(ivm_incremental_applies)                                                \
-  X(ivm_rebuild_fallbacks)                                                  \
-  X(ivm_base_delta_tuples)                                                  \
-  X(ivm_view_delta_tuples)                                                  \
-  X(ivm_overdeletions)                                                      \
-  X(ivm_rederivations)                                                      \
-  X(audit_obligations)                                                      \
-  X(audit_failures)                                                         \
-  X(audit_unfold_disjuncts)                                                 \
-  X(audit_replayed_tuples)                                                  \
-  X(audit_wall_ns)                                                          \
-  X(serve_requests)                                                         \
-  X(serve_overload_rejections)                                              \
-  X(serve_queue_peak)                                                       \
-  X(store_records_appended)                                                 \
-  X(store_bytes_logged)                                                     \
-  X(store_fsyncs)                                                           \
-  X(store_snapshots_written)                                                \
-  X(store_recovery_replayed_records)                                        \
-  X(store_recovery_sessions)
-
 StatsSnapshot StatsSnapshot::operator-(const StatsSnapshot& o) const {
   StatsSnapshot d;
 #define CQAC_STATS_SUB(f) d.f = f - o.f;

@@ -53,59 +53,87 @@ class StatCounter {
   std::atomic<uint64_t> value_{0};
 };
 
+// The one list of counters. It generates the members of StatsSnapshot and
+// EngineStats and drives Reset, Snapshot, the snapshot arithmetic and the
+// JSON rendering (src/engine/stats.cc): a new counter is added here once
+// and every accessor picks it up. EngineStats::ToString is hand-written,
+// so a new counter also needs a place there. The ToJson key order is the
+// order of this list.
+#define CQAC_ENGINE_STATS_FIELDS(X)                                         \
+  /* Containment layer. */                                                  \
+  X(containment_calls)                                                      \
+  X(containment_cache_hits)                                                 \
+  X(containment_cache_misses)                                               \
+  /* Constraint-implication layer. */                                       \
+  X(implication_calls)                                                      \
+  X(implication_cache_hits)                                                 \
+  X(implication_cache_misses)                                               \
+  X(disjunction_implications)                                               \
+  /* Homomorphism enumeration. */                                           \
+  X(hom_enumerations)                                                       \
+  X(homomorphisms_found)                                                    \
+  /* Canonicalization / interning. */                                       \
+  X(intern_requests)                                                        \
+  X(queries_interned)       /* distinct canonical forms seen */             \
+  X(fingerprint_collisions)                                                 \
+  /* Cache maintenance. */                                                  \
+  X(cache_evictions)                                                        \
+  X(cache_flushes)                                                          \
+  /* Budget enforcement. */                                                 \
+  X(budget_exhaustions)                                                     \
+  /* Columnar join evaluation (src/eval/batch.h). */                        \
+  X(eval_batches)             /* non-empty batches emitted */               \
+  X(eval_smallint_fallbacks)  /* column promotions off the i64 path */      \
+  /* Cost-based planner (src/plan). */                                      \
+  X(plan_decisions)      /* cost comparisons made */                        \
+  X(plan_join_reorders)  /* evaluations that left syntactic order */        \
+  X(plan_unions_pruned)  /* union disjuncts pruned before eval */           \
+  X(plan_retunes)        /* adaptive-threshold re-estimations */            \
+  /* Rewriting layer. */                                                    \
+  X(rewrite_candidates)                                                     \
+  X(rewrite_verified_rejects)                                               \
+  /* Parallel sections (TaskPool fan-outs that actually ran                 \
+     concurrently). */                                                      \
+  X(parallel_sections)                                                      \
+  X(parallel_tasks)                                                         \
+  X(parallel_wall_ns)  /* wall-clock summed over sections */                \
+  /* Incremental view maintenance (src/ivm). */                             \
+  X(ivm_applies)              /* delta batches applied */                   \
+  X(ivm_incremental_applies)  /* ... maintained incrementally */            \
+  X(ivm_rebuild_fallbacks)    /* ... that fell back to rebuild */           \
+  X(ivm_base_delta_tuples)    /* base tuples inserted + retracted */        \
+  X(ivm_view_delta_tuples)    /* view tuples added + removed */             \
+  X(ivm_overdeletions)        /* DRed tuples speculatively deleted */       \
+  X(ivm_rederivations)        /* DRed tuples rescued by re-derive */        \
+  /* Independent audit pass (src/analysis/audit). */                        \
+  X(audit_obligations)       /* proof obligations checked */                \
+  X(audit_failures)          /* ... that were rejected */                   \
+  X(audit_unfold_disjuncts)  /* MCR unfolding disjuncts certified */        \
+  X(audit_replayed_tuples)   /* IVM tuples replayed vs the oracle */        \
+  X(audit_wall_ns)           /* wall-clock spent auditing */                \
+  /* Serve transport (src/serve/server.cc; always zero outside a server;    \
+     the shell's `stats` prints them so serve and shell read                \
+     identically). */                                                       \
+  X(serve_requests)             /* requests this shard executed */          \
+  X(serve_overload_rejections)  /* lines bounced off a full queue */        \
+  X(serve_queue_peak)           /* request-queue high-water mark */         \
+  /* Durable store (src/store; zero without --data-dir). */                 \
+  X(store_records_appended)   /* commit records appended to the WAL */      \
+  X(store_bytes_logged)       /* framed bytes written to the WAL */         \
+  X(store_fsyncs)             /* fsyncs issued by the policy */             \
+  X(store_snapshots_written)  /* compact snapshots written */               \
+  X(store_recovery_replayed_records)  /* log-tail records replayed */       \
+  X(store_recovery_sessions)          /* sessions recovered */
+
 /// A plain, copyable point-in-time copy of every EngineStats counter.
 /// Snapshots support subtraction, so a caller that brackets a unit of work
 /// with two snapshots gets the exact counter deltas attributable to it —
 /// the serve layer uses this to account per-session engine work against
 /// the one shared context (src/serve/session.h).
 struct StatsSnapshot {
-  uint64_t containment_calls = 0;
-  uint64_t containment_cache_hits = 0;
-  uint64_t containment_cache_misses = 0;
-  uint64_t implication_calls = 0;
-  uint64_t implication_cache_hits = 0;
-  uint64_t implication_cache_misses = 0;
-  uint64_t disjunction_implications = 0;
-  uint64_t hom_enumerations = 0;
-  uint64_t homomorphisms_found = 0;
-  uint64_t intern_requests = 0;
-  uint64_t queries_interned = 0;
-  uint64_t fingerprint_collisions = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_flushes = 0;
-  uint64_t budget_exhaustions = 0;
-  uint64_t eval_batches = 0;
-  uint64_t eval_smallint_fallbacks = 0;
-  uint64_t plan_decisions = 0;
-  uint64_t plan_join_reorders = 0;
-  uint64_t plan_unions_pruned = 0;
-  uint64_t plan_retunes = 0;
-  uint64_t rewrite_candidates = 0;
-  uint64_t rewrite_verified_rejects = 0;
-  uint64_t parallel_sections = 0;
-  uint64_t parallel_tasks = 0;
-  uint64_t parallel_wall_ns = 0;
-  uint64_t ivm_applies = 0;
-  uint64_t ivm_incremental_applies = 0;
-  uint64_t ivm_rebuild_fallbacks = 0;
-  uint64_t ivm_base_delta_tuples = 0;
-  uint64_t ivm_view_delta_tuples = 0;
-  uint64_t ivm_overdeletions = 0;
-  uint64_t ivm_rederivations = 0;
-  uint64_t audit_obligations = 0;
-  uint64_t audit_failures = 0;
-  uint64_t audit_unfold_disjuncts = 0;
-  uint64_t audit_replayed_tuples = 0;
-  uint64_t audit_wall_ns = 0;
-  uint64_t serve_requests = 0;
-  uint64_t serve_overload_rejections = 0;
-  uint64_t serve_queue_peak = 0;
-  uint64_t store_records_appended = 0;
-  uint64_t store_bytes_logged = 0;
-  uint64_t store_fsyncs = 0;
-  uint64_t store_snapshots_written = 0;
-  uint64_t store_recovery_replayed_records = 0;
-  uint64_t store_recovery_sessions = 0;
+#define CQAC_STATS_SNAPSHOT_FIELD(f) uint64_t f = 0;
+  CQAC_ENGINE_STATS_FIELDS(CQAC_STATS_SNAPSHOT_FIELD)
+#undef CQAC_STATS_SNAPSHOT_FIELD
 
   /// Counter-wise difference (`after - before`). Counters only grow, so a
   /// later-minus-earlier snapshot of the same stats block never underflows.
@@ -123,81 +151,9 @@ struct StatsSnapshot {
 };
 
 struct EngineStats {
-  // Containment layer.
-  StatCounter containment_calls;
-  StatCounter containment_cache_hits;
-  StatCounter containment_cache_misses;
-
-  // Constraint-implication layer.
-  StatCounter implication_calls;
-  StatCounter implication_cache_hits;
-  StatCounter implication_cache_misses;
-  StatCounter disjunction_implications;
-
-  // Homomorphism enumeration.
-  StatCounter hom_enumerations;
-  StatCounter homomorphisms_found;
-
-  // Canonicalization / interning.
-  StatCounter intern_requests;
-  StatCounter queries_interned;  // distinct canonical forms seen
-  StatCounter fingerprint_collisions;
-
-  // Cache maintenance.
-  StatCounter cache_evictions;
-  StatCounter cache_flushes;
-
-  // Budget enforcement.
-  StatCounter budget_exhaustions;
-
-  // Columnar join evaluation (src/eval/batch.h).
-  StatCounter eval_batches;              // non-empty batches emitted
-  StatCounter eval_smallint_fallbacks;   // column promotions off the i64 path
-
-  // Cost-based planner (src/plan).
-  StatCounter plan_decisions;      // cost comparisons made
-  StatCounter plan_join_reorders;  // evaluations that left syntactic order
-  StatCounter plan_unions_pruned;  // union disjuncts pruned before eval
-  StatCounter plan_retunes;        // adaptive-threshold re-estimations
-
-  // Rewriting layer.
-  StatCounter rewrite_candidates;
-  StatCounter rewrite_verified_rejects;
-
-  // Parallel sections (TaskPool fan-outs that actually ran concurrently).
-  StatCounter parallel_sections;
-  StatCounter parallel_tasks;
-  StatCounter parallel_wall_ns;  // wall-clock summed over sections
-
-  // Incremental view maintenance (src/ivm).
-  StatCounter ivm_applies;              // delta batches applied
-  StatCounter ivm_incremental_applies;  // ... maintained incrementally
-  StatCounter ivm_rebuild_fallbacks;    // ... that fell back to rebuild
-  StatCounter ivm_base_delta_tuples;    // base tuples inserted + retracted
-  StatCounter ivm_view_delta_tuples;    // view tuples added + removed
-  StatCounter ivm_overdeletions;        // DRed tuples speculatively deleted
-  StatCounter ivm_rederivations;        // DRed tuples rescued by re-derive
-
-  // Independent audit pass (src/analysis/audit).
-  StatCounter audit_obligations;       // proof obligations checked
-  StatCounter audit_failures;          // ... that were rejected
-  StatCounter audit_unfold_disjuncts;  // MCR unfolding disjuncts certified
-  StatCounter audit_replayed_tuples;   // IVM tuples replayed vs the oracle
-  StatCounter audit_wall_ns;           // wall-clock spent auditing
-
-  // Serve transport (src/serve/server.cc; always zero outside a server —
-  // the shell's `stats` prints them so serve and shell read identically).
-  StatCounter serve_requests;             // requests this shard executed
-  StatCounter serve_overload_rejections;  // lines bounced off a full queue
-  StatCounter serve_queue_peak;           // request-queue high-water mark
-
-  // Durable store (src/store; zero without --data-dir).
-  StatCounter store_records_appended;  // commit records appended to the WAL
-  StatCounter store_bytes_logged;      // framed bytes written to the WAL
-  StatCounter store_fsyncs;            // fsyncs issued by the policy
-  StatCounter store_snapshots_written; // compact snapshots written
-  StatCounter store_recovery_replayed_records;  // log-tail records replayed
-  StatCounter store_recovery_sessions;          // sessions recovered
+#define CQAC_STATS_COUNTER_FIELD(f) StatCounter f;
+  CQAC_ENGINE_STATS_FIELDS(CQAC_STATS_COUNTER_FIELD)
+#undef CQAC_STATS_COUNTER_FIELD
 
   void Reset();
 

@@ -607,7 +607,7 @@ class RelationBuilder {
 /// when `slice` is non-null; returns false when the checkpoint aborted the
 /// search.
 bool JoinInto(CompiledJoin& join, FunctionRef<bool()> checkpoint,
-              Relation* results, EngineStats* stats = nullptr,
+              Relation* results, EngineStats* stats,
               const TupleSlice* slice = nullptr) {
   BatchHeadProjector proj(join.q);
   RelationBuilder builder;
@@ -622,23 +622,6 @@ bool JoinInto(CompiledJoin& join, FunctionRef<bool()> checkpoint,
 }
 
 }  // namespace
-
-Result<Relation> EvaluateQuery(const Query& q, const Database& db) {
-  CQAC_RETURN_IF_ERROR(q.Validate());
-  std::vector<const Relation*> relations;
-  relations.reserve(q.body().size());
-  for (const Atom& a : q.body()) relations.push_back(&db.Get(a.predicate));
-
-  CompiledJoin join(q, relations);
-  Relation results;
-  JoinInto(join, [] { return true; }, &results);
-  return results;
-}
-
-Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,
-                               const Database& db) {
-  return EvaluateQuery(ctx, q, db, EvalOptions{});
-}
 
 Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
                                const Database& db,
@@ -883,18 +866,6 @@ Result<bool> QueryYieldsTuple(const Query& q, const Database& db,
   return found;
 }
 
-Result<Relation> EvaluateUnion(const UnionQuery& u, const Database& db) {
-  Relation out;
-  for (const Query& q : u.disjuncts) {
-    CQAC_ASSIGN_OR_RETURN(Relation r, EvaluateQuery(q, db));
-    if (out.empty())
-      out = std::move(r);
-    else
-      out.merge(std::move(r));
-  }
-  return out;
-}
-
 Result<Relation> EvaluateUnion(EngineContext& ctx, const UnionQuery& u,
                                const Database& db) {
   // Disjuncts evaluate independently; the union of result sets is
@@ -911,15 +882,6 @@ Result<Relation> EvaluateUnion(EngineContext& ctx, const UnionQuery& u,
       out = std::move(r.value());
     else
       out.merge(std::move(r.value()));
-  }
-  return out;
-}
-
-Result<Database> MaterializeViews(const ViewSet& views, const Database& db) {
-  Database out;
-  for (const Query& v : views.views()) {
-    CQAC_ASSIGN_OR_RETURN(Relation r, EvaluateQuery(v, db));
-    CQAC_RETURN_IF_ERROR(out.InsertRelation(v.head().predicate, std::move(r)));
   }
   return out;
 }

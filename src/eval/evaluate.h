@@ -27,9 +27,6 @@ namespace cqac {
 /// are false.
 bool EvaluateGroundComparison(const Value& lhs, CompOp op, const Value& rhs);
 
-/// Returns the set of head tuples of `q` on `db`.
-Result<Relation> EvaluateQuery(const Query& q, const Database& db);
-
 /// Per-call evaluation knobs — the planner seam.
 struct EvalOptions {
   /// kPlanned (default): the body executes in the atom order chosen by
@@ -49,19 +46,17 @@ struct EvalOptions {
   plan::JoinOrderPlan* executed_plan = nullptr;
 };
 
-/// Context-aware variant: honours the budget deadline / cancellation flag
-/// (kResourceExhausted on abort), records eval_batches /
-/// eval_smallint_fallbacks / plan_* stats, plans the body atom order (see
-/// EvalOptions), and fans the join out over the context's task pool by
-/// cutting the first planned atom's tuples into contiguous chunks that
-/// share one compiled plan and one index set. The order is chosen from the
-/// database alone, before any fan-out, so the result set is identical at
-/// every thread count.
-Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,
-                               const Database& db);
+/// Returns the set of head tuples of `q` on `db`. Honours the context's
+/// budget deadline / cancellation flag (kResourceExhausted on abort),
+/// records eval_batches / eval_smallint_fallbacks / plan_* stats, plans the
+/// body atom order (see EvalOptions), and fans the join out over the
+/// context's task pool by cutting the first planned atom's tuples into
+/// contiguous chunks that share one compiled plan and one index set. The
+/// order is chosen from the database alone, before any fan-out, so the
+/// result set is identical at every thread count.
 Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,
                                const Database& db,
-                               const EvalOptions& options);
+                               const EvalOptions& options = {});
 
 /// The pre-columnar tuple-at-a-time backtracking evaluator, kept verbatim as
 /// the differential-testing oracle: EvaluateQuery must return a byte-
@@ -70,18 +65,13 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,
 Result<Relation> EvaluateQueryReference(const Query& q, const Database& db);
 
 /// Evaluates each disjunct and unions the results (all head arities must
-/// agree).
-Result<Relation> EvaluateUnion(const UnionQuery& u, const Database& db);
-
-/// Context-aware variant: disjuncts evaluate in parallel.
+/// agree). Disjuncts evaluate in parallel on the context's task pool.
 Result<Relation> EvaluateUnion(EngineContext& ctx, const UnionQuery& u,
                                const Database& db);
 
 /// Materializes every view in `views` over `db`, producing the view
-/// database {v_i -> v_i(db)} the rewriting is evaluated against.
-Result<Database> MaterializeViews(const ViewSet& views, const Database& db);
-
-/// Context-aware variant: views materialize in parallel.
+/// database {v_i -> v_i(db)} the rewriting is evaluated against. Views
+/// materialize in parallel on the context's task pool.
 Result<Database> MaterializeViews(EngineContext& ctx, const ViewSet& views,
                                   const Database& db);
 

@@ -29,7 +29,7 @@ enum class PlanKind {
   kDatalog,      // recursive Datalog program (Section 5)
 };
 
-/// Options for the context-aware ViewPlan::Answer.
+/// Options for ViewPlan::Answer.
 struct AnswerOptions {
   plan::UnionEvalPin union_eval = plan::UnionEvalPin::kAuto;
 };
@@ -45,9 +45,7 @@ struct ViewPlan {
   plan::Plan plan;
 
   /// Evaluates the plan over a view instance, returning certain answers.
-  Result<Relation> Answer(const Database& view_instance) const;
-
-  /// Context-aware evaluation. For finite-union plans the planner chooses
+  /// For finite-union plans the planner chooses
   /// between direct evaluation and containment-pruning redundant disjuncts
   /// first — a disjunct contained in a kept one contributes only a subset
   /// of its tuples on every instance, so both arms return the identical
@@ -68,16 +66,9 @@ struct ViewPlan {
 Result<ViewPlan> PlanForQuery(EngineContext& ctx, const Query& q,
                               const ViewSet& views);
 
-/// Legacy overload: plans under a fresh default-budget context.
-Result<ViewPlan> PlanForQuery(const Query& q, const ViewSet& views);
-
 /// Convenience: compile + evaluate in one call.
 Result<Relation> AnswerUsingViews(EngineContext& ctx, const Query& q,
                                   const ViewSet& views,
-                                  const Database& view_instance);
-
-/// Legacy overload: answers under a fresh default-budget context.
-Result<Relation> AnswerUsingViews(const Query& q, const ViewSet& views,
                                   const Database& view_instance);
 
 }  // namespace cqac

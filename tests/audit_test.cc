@@ -218,7 +218,7 @@ struct UnfoldFixture {
 
   UnfoldFixture() {
     EXPECT_TRUE(views.Add(MustParseQuery("v(A, B) :- e(A, B).")).ok());
-    auto m = RewriteSiQueryDatalog(q, views);
+    auto m = RewriteSiQueryDatalog(ctx, q, views);
     EXPECT_TRUE(m.ok()) << m.status();
     mcr = m.ValueOr(SiMcr());
   }

@@ -12,41 +12,52 @@ namespace cqac {
 namespace {
 
 TEST(BucketTest, CarDealerAgreesWithRewriteLsi) {
-  auto bucket = BucketRewrite(workloads::CarDealerQuery(),
+  // Both rewriters and the comparison run on separate contexts, so neither
+  // can read back a decision another one cached.
+  EngineContext ctx;
+  EngineContext lsi_ctx;
+  EngineContext check;
+  auto bucket = BucketRewrite(ctx, workloads::CarDealerQuery(),
                               workloads::CarDealerViews());
   ASSERT_TRUE(bucket.ok()) << bucket.status();
   ASSERT_EQ(bucket.value().disjuncts.size(), 1u);
-  auto mcr = RewriteLsiQuery(workloads::CarDealerQuery(),
+  auto mcr = RewriteLsiQuery(lsi_ctx, workloads::CarDealerQuery(),
                              workloads::CarDealerViews());
   ASSERT_TRUE(mcr.ok());
-  auto equiv = IsEquivalent(bucket.value().disjuncts[0],
+  auto equiv = IsEquivalent(check, bucket.value().disjuncts[0],
                             mcr.value().disjuncts[0]);
   ASSERT_TRUE(equiv.ok());
   EXPECT_TRUE(equiv.value());
 }
 
 TEST(BucketTest, AllCandidatesVerified) {
-  auto bucket = BucketRewrite(workloads::Sec44CaseQuery(),
+  // The check runs on its own context so that it decides each containment
+  // again rather than reading the rewriter's cache.
+  EngineContext ctx;
+  EngineContext check;
+  auto bucket = BucketRewrite(ctx, workloads::Sec44CaseQuery(),
                               workloads::Sec44CaseViews());
   ASSERT_TRUE(bucket.ok()) << bucket.status();
   for (const Query& d : bucket.value().disjuncts) {
     auto exp = ExpandRewriting(d, workloads::Sec44CaseViews());
     ASSERT_TRUE(exp.ok());
-    auto c = IsContained(exp.value(), workloads::Sec44CaseQuery());
+    auto c = IsContained(check, exp.value(), workloads::Sec44CaseQuery());
     ASSERT_TRUE(c.ok());
     EXPECT_TRUE(c.value()) << d.ToString();
   }
 }
 
 TEST(BucketTest, MissesExportRewritings) {
+  EngineContext ctx;
+  EngineContext lsi_ctx;
   // Example 1.1 needs the exportable-variable machinery; the bucket
   // algorithm (distinguished-only) cannot produce the rewriting — exactly
   // the gap Section 4.3 closes.
-  auto bucket = BucketRewrite(workloads::Example11Query(),
+  auto bucket = BucketRewrite(ctx, workloads::Example11Query(),
                               workloads::Example11Views());
   ASSERT_TRUE(bucket.ok()) << bucket.status();
   EXPECT_TRUE(bucket.value().disjuncts.empty()) << bucket.value().ToString();
-  auto mcr = RewriteLsiQuery(workloads::Example11Query(),
+  auto mcr = RewriteLsiQuery(lsi_ctx, workloads::Example11Query(),
                              workloads::Example11Views());
   ASSERT_TRUE(mcr.ok());
   EXPECT_FALSE(mcr.value().disjuncts.empty());
@@ -54,17 +65,20 @@ TEST(BucketTest, MissesExportRewritings) {
 
 TEST(BucketTest, AcBlindModeStillSound) {
   // With ac_aware off, unsound candidates are generated but verification
-  // rejects them; whatever remains is still contained.
+  // rejects them; whatever remains is still contained. The check runs on
+  // its own context, away from the rewriter's cache.
+  EngineContext ctx;
+  EngineContext check;
   BucketOptions opts;
   opts.ac_aware = false;
   BucketStats stats;
-  auto bucket = BucketRewrite(workloads::Sec44CaseQuery(),
+  auto bucket = BucketRewrite(ctx, workloads::Sec44CaseQuery(),
                               workloads::Sec44CaseViews(), opts, &stats);
   ASSERT_TRUE(bucket.ok()) << bucket.status();
   for (const Query& d : bucket.value().disjuncts) {
     auto exp = ExpandRewriting(d, workloads::Sec44CaseViews());
     ASSERT_TRUE(exp.ok());
-    auto c = IsContained(exp.value(), workloads::Sec44CaseQuery());
+    auto c = IsContained(check, exp.value(), workloads::Sec44CaseQuery());
     ASSERT_TRUE(c.ok());
     EXPECT_TRUE(c.value()) << d.ToString();
   }
@@ -73,10 +87,11 @@ TEST(BucketTest, AcBlindModeStillSound) {
 }
 
 TEST(BucketTest, UncoverableSubgoalShortCircuits) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(X) :- r(X), t(X)");
   ViewSet views(MustParseRules("v(X) :- r(X)."));
   BucketStats stats;
-  auto bucket = BucketRewrite(q, views, {}, &stats);
+  auto bucket = BucketRewrite(ctx, q, views, {}, &stats);
   ASSERT_TRUE(bucket.ok());
   EXPECT_TRUE(bucket.value().disjuncts.empty());
   EXPECT_EQ(stats.candidates, 0u);

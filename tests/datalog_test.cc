@@ -155,6 +155,23 @@ TEST(UnfoldTest, RecursiveProgramDepthBounded) {
   }
 }
 
+TEST(UnfoldTest, DisjunctCapIsResourceExhaustedNotTruncation) {
+  Program p("t", MustParseRules(
+                     "t(X, Y) :- e(X, Y).\n"
+                     "t(X, Z) :- e(X, Y), t(Y, Z)."));
+  datalog::UnfoldOptions opts;
+  opts.max_depth = 4;  // 4 expansions: chains of length 1..4
+  opts.max_disjuncts = 3;
+  auto over = datalog::UnfoldProgram(p, opts);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+
+  opts.max_disjuncts = 4;  // exactly at the cap is still complete
+  auto at = datalog::UnfoldProgram(p, opts);
+  ASSERT_TRUE(at.ok()) << at.status();
+  EXPECT_EQ(at.value().disjuncts.size(), 4u);
+}
+
 TEST(UnfoldTest, CqInDatalogContainment) {
   Program p("t", MustParseRules(
                      "t(X, Y) :- e(X, Y).\n"

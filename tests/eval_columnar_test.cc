@@ -40,10 +40,6 @@ void ExpectMatchesReference(const Query& q, const Database& db,
   ASSERT_TRUE(ref.ok()) << what << ": " << ref.status().ToString();
   const std::string expected = RenderRelation(ref.value());
 
-  Result<Relation> plain = EvaluateQuery(q, db);
-  ASSERT_TRUE(plain.ok()) << what << ": " << plain.status().ToString();
-  EXPECT_EQ(RenderRelation(plain.value()), expected) << what << " (plain)";
-
   for (size_t threads : kThreadCounts) {
     TaskPool pool(threads);
     EngineContext ctx;

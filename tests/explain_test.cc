@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
+#include "src/base/strings.h"
 #include "src/containment/containment.h"
 #include "src/gen/paper_workloads.h"
 #include "src/ir/parser.h"
@@ -10,7 +14,8 @@ namespace cqac {
 namespace {
 
 TEST(ExplainTest, SingleMappingCase) {
-  auto e = ExplainContainment(MustParseQuery("q(X) :- r(X), X < 3"),
+  EngineContext ctx;
+  auto e = ExplainContainment(ctx, MustParseQuery("q(X) :- r(X), X < 3"),
                               MustParseQuery("q(X) :- r(X), X < 4"));
   ASSERT_TRUE(e.ok()) << e.status();
   EXPECT_TRUE(e.value().contained);
@@ -20,7 +25,8 @@ TEST(ExplainTest, SingleMappingCase) {
 }
 
 TEST(ExplainTest, CouplingCaseExample51) {
-  auto e = ExplainContainment(workloads::Example51Q2(),
+  EngineContext ctx;
+  auto e = ExplainContainment(ctx, workloads::Example51Q2(),
                               workloads::Example51Q1());
   ASSERT_TRUE(e.ok()) << e.status();
   EXPECT_TRUE(e.value().contained);
@@ -34,7 +40,8 @@ TEST(ExplainTest, CouplingCaseExample51) {
 }
 
 TEST(ExplainTest, NoMappingCase) {
-  auto e = ExplainContainment(MustParseQuery("q() :- s(X)"),
+  EngineContext ctx;
+  auto e = ExplainContainment(ctx, MustParseQuery("q() :- s(X)"),
                               MustParseQuery("q() :- r(X)"));
   ASSERT_TRUE(e.ok());
   EXPECT_FALSE(e.value().contained);
@@ -43,7 +50,8 @@ TEST(ExplainTest, NoMappingCase) {
 }
 
 TEST(ExplainTest, MappingsExistButAcsFail) {
-  auto e = ExplainContainment(MustParseQuery("q(X) :- r(X), X < 5"),
+  EngineContext ctx;
+  auto e = ExplainContainment(ctx, MustParseQuery("q(X) :- r(X), X < 5"),
                               MustParseQuery("q(X) :- r(X), X < 3"));
   ASSERT_TRUE(e.ok());
   EXPECT_FALSE(e.value().contained);
@@ -54,8 +62,9 @@ TEST(ExplainTest, MappingsExistButAcsFail) {
 }
 
 TEST(ExplainTest, InconsistentSides) {
+  EngineContext ctx;
   auto empty_in = ExplainContainment(
-      MustParseQuery("q(X) :- r(X), X < 1, X > 2"),
+      ctx, MustParseQuery("q(X) :- r(X), X < 1, X > 2"),
       MustParseQuery("q(X) :- s(X)"));
   ASSERT_TRUE(empty_in.ok());
   EXPECT_TRUE(empty_in.value().contained);
@@ -63,13 +72,17 @@ TEST(ExplainTest, InconsistentSides) {
             std::string::npos);
 
   auto into_empty = ExplainContainment(
-      MustParseQuery("q(X) :- s(X)"),
+      ctx, MustParseQuery("q(X) :- s(X)"),
       MustParseQuery("q(X) :- r(X), X < 1, X > 2"));
   ASSERT_TRUE(into_empty.ok());
   EXPECT_FALSE(into_empty.value().contained);
 }
 
 TEST(ExplainTest, VerdictAlwaysMatchesIsContained) {
+  // Separate contexts, so the explanation's verdict is re-decided rather
+  // than read back from the first decision's cache entry.
+  EngineContext verdict_ctx;
+  EngineContext explain_ctx;
   std::vector<std::pair<std::string, std::string>> cases = {
       {"q(X) :- r(X), X < 3", "q(X) :- r(X), X <= 3"},
       {"q(X) :- r(X), X <= 3", "q(X) :- r(X), X < 3"},
@@ -77,12 +90,42 @@ TEST(ExplainTest, VerdictAlwaysMatchesIsContained) {
       {"q(X) :- e(X, X)", "q(X) :- e(X, Y)"},
   };
   for (const auto& [a, b] : cases) {
-    auto verdict = IsContained(MustParseQuery(a), MustParseQuery(b));
-    auto explained = ExplainContainment(MustParseQuery(a), MustParseQuery(b));
+    auto verdict =
+        IsContained(verdict_ctx, MustParseQuery(a), MustParseQuery(b));
+    auto explained =
+        ExplainContainment(explain_ctx, MustParseQuery(a), MustParseQuery(b));
     ASSERT_TRUE(verdict.ok());
     ASSERT_TRUE(explained.ok());
     EXPECT_EQ(verdict.value(), explained.value().contained) << a;
   }
+}
+
+TEST(ExplainTest, RunsUnderTheCallersContext) {
+  // A 6-edge walk into a complete digraph on 4 nodes: 4^7 mappings to
+  // render, far past the homomorphism search's periodic deadline check.
+  std::string clique = "q() :- ";
+  for (int a = 0; a < 4; ++a)
+    for (int b = 0; b < 4; ++b)
+      clique += StrCat(a || b ? ", " : "", "r(X", a, ", X", b, ")");
+  std::string walk = "q() :- ";
+  for (int i = 0; i < 6; ++i)
+    walk += StrCat(i ? ", " : "", "r(Y", i, ", Y", i + 1, ")");
+
+  // A deadline already in the past stops the explanation like any other
+  // engine call under that context.
+  EngineContext expired(Budget::WithTimeout(std::chrono::milliseconds(-1)));
+  auto cut = ExplainContainment(expired, MustParseQuery(clique),
+                                MustParseQuery(walk));
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), StatusCode::kResourceExhausted);
+
+  // The decision is charged to the caller's counters.
+  EngineContext ctx;
+  ASSERT_EQ(ctx.stats().containment_calls, 0u);
+  ASSERT_TRUE(ExplainContainment(ctx, MustParseQuery("q(X) :- r(X), X < 3"),
+                                 MustParseQuery("q(X) :- r(X), X < 4"))
+                  .ok());
+  EXPECT_GT(ctx.stats().containment_calls, 0u);
 }
 
 }  // namespace

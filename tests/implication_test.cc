@@ -56,9 +56,10 @@ TEST(ImplicationTest, StrictVersusNonStrict) {
 }
 
 TEST(ImplicationTest, DisjunctionTotalityOfOrder) {
+  EngineContext ctx;
   // {} => (X <= Y) v (Y <= X): totality of the dense order — no single
   // disjunct is implied, but the disjunction is valid.
-  auto r = ImpliesDisjunction({}, {Acs("X <= Y"), Acs("Y <= X")});
+  auto r = ImpliesDisjunction(ctx, {}, {Acs("X <= Y"), Acs("Y <= X")});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value());
   auto single = ImpliesConjunction({}, Acs("X <= Y"));
@@ -67,13 +68,14 @@ TEST(ImplicationTest, DisjunctionTotalityOfOrder) {
 }
 
 TEST(ImplicationTest, DisjunctionCouplingExample51) {
+  EngineContext ctx;
   // A > 6 ^ E < 7 => (A > 5 ^ C < 8) v (C > 5 ^ E < 8)  [Example 5.1]
   Query q = MustParseQuery("q() :- r(A, C, E), A > 6, E < 7");
   std::vector<Comparison> premise = q.comparisons();
   Query d1q = MustParseQuery("q() :- r(A, C, E), A > 5, C < 8");
   Query d2q = MustParseQuery("q() :- r(A, C, E), C > 5, E < 8");
-  auto r = ImpliesDisjunction(premise, {d1q.comparisons(),
-                                        d2q.comparisons()});
+  auto r = ImpliesDisjunction(ctx, premise,
+                              {d1q.comparisons(), d2q.comparisons()});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value());
   // Neither disjunct alone suffices.
@@ -86,21 +88,24 @@ TEST(ImplicationTest, DisjunctionCouplingExample51) {
 }
 
 TEST(ImplicationTest, DisjunctionFailure) {
-  auto r = ImpliesDisjunction(Acs("X > 6"), {Acs("X < 5"), Acs("X > 10")});
+  EngineContext ctx;
+  auto r = ImpliesDisjunction(ctx, Acs("X > 6"), {Acs("X < 5"), Acs("X > 10")});
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value());
 }
 
 TEST(ImplicationTest, EmptyDisjunctionOnlyFromInconsistency) {
-  auto r = ImpliesDisjunction(Acs("X < 3"), {});
+  EngineContext ctx;
+  auto r = ImpliesDisjunction(ctx, Acs("X < 3"), {});
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value());
-  r = ImpliesDisjunction(Acs("X < 3, X > 5"), {});
+  r = ImpliesDisjunction(ctx, Acs("X < 3, X > 5"), {});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value());
 }
 
 TEST(ImplicationTest, Lemma21SingleDisjunctSufficesForLsiRhs) {
+  EngineContext ctx;
   // Lemma 2.1: with LSI-only disjuncts, E => D1 v D2 iff E => D1 or E => D2.
   std::vector<std::vector<Comparison>> disjuncts = {Acs("X < 3"),
                                                     Acs("Y <= 2")};
@@ -108,7 +113,7 @@ TEST(ImplicationTest, Lemma21SingleDisjunctSufficesForLsiRhs) {
       Acs("X < 2"), Acs("Y < 1"), Acs("X < 4"), Acs("X <= 2, Y <= 5"),
       Acs("X < 3, Y <= 2")};
   for (const auto& premise : premises) {
-    auto whole = ImpliesDisjunction(premise, disjuncts);
+    auto whole = ImpliesDisjunction(ctx, premise, disjuncts);
     ASSERT_TRUE(whole.ok());
     bool any_single = false;
     for (const auto& d : disjuncts) {
@@ -156,6 +161,7 @@ TEST(ImplicationTest, SiLemma51RejectsNonSi) {
 // Property test: on random SI instances, Lemma 5.1's procedure agrees with
 // the general total-preorder enumeration (each disjunct a single atom).
 TEST(ImplicationTest, SiProcedureAgreesWithGeneralProcedure) {
+  EngineContext ctx;
   Rng rng(20260705);
   int checked = 0;
   for (int iter = 0; iter < 300; ++iter) {
@@ -177,7 +183,7 @@ TEST(ImplicationTest, SiProcedureAgreesWithGeneralProcedure) {
     ASSERT_TRUE(si.ok());
     std::vector<std::vector<Comparison>> disjuncts;
     for (const Comparison& a : atoms) disjuncts.push_back({a});
-    auto general = ImpliesDisjunction(premise, disjuncts);
+    auto general = ImpliesDisjunction(ctx, premise, disjuncts);
     ASSERT_TRUE(general.ok());
     EXPECT_EQ(si.value(), general.value())
         << "iteration " << iter;
@@ -189,6 +195,7 @@ TEST(ImplicationTest, SiProcedureAgreesWithGeneralProcedure) {
 // Property test: the DPLL-style refutation procedure agrees with the
 // brute-force preorder enumeration on random small disjunction instances.
 TEST(ImplicationTest, DisjunctionProceduresAgree) {
+  EngineContext ctx;
   Rng rng(8);
   for (int iter = 0; iter < 250; ++iter) {
     auto draw = [&]() {
@@ -212,7 +219,7 @@ TEST(ImplicationTest, DisjunctionProceduresAgree) {
         d.push_back(draw());
       disjuncts.push_back(std::move(d));
     }
-    auto fast = ImpliesDisjunction(premise, disjuncts);
+    auto fast = ImpliesDisjunction(ctx, premise, disjuncts);
     auto slow = ImpliesDisjunctionByPreorders(premise, disjuncts);
     ASSERT_TRUE(fast.ok());
     ASSERT_TRUE(slow.ok());
@@ -267,10 +274,11 @@ TEST(PreorderEnumerationTest, AbortStopsEnumeration) {
 }
 
 TEST(ImplicationTest, SymbolsUnsupportedInDisjunction) {
+  EngineContext ctx;
   std::vector<Comparison> premise{
       Comparison(Term::Var(0), CompOp::kLt,
                  Term::Const(Value(std::string("red"))))};
-  EXPECT_FALSE(ImpliesDisjunction(premise, {}).ok());
+  EXPECT_FALSE(ImpliesDisjunction(ctx, premise, {}).ok());
 }
 
 }  // namespace

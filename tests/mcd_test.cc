@@ -21,7 +21,8 @@ std::vector<Mcd> Build(const Query& q, const ViewSet& raw_views,
   }
   std::vector<ExportAnalysis> analyses;
   for (const Query& v : prepped.views()) analyses.emplace_back(v);
-  auto r = ConstructMcds(qp, prepped, analyses);
+  EngineContext ctx;
+  auto r = ConstructMcds(ctx, qp, prepped, analyses);
   EXPECT_TRUE(r.ok()) << r.status();
   if (prepped_out != nullptr) *prepped_out = prepped;
   return r.ValueOr({});

@@ -30,6 +30,7 @@ TEST(MirrorTest, Involutive) {
 }
 
 TEST(MirrorTest, EvaluationCommutes) {
+  EngineContext ctx;
   Rng rng(55);
   Query q = MustParseQuery("q(X, Y) :- e(X, Y), X < 4, Y >= 2");
   gen::DatabaseSpec spec;
@@ -38,9 +39,9 @@ TEST(MirrorTest, EvaluationCommutes) {
   spec.value_max = 10;
   Database db = gen::RandomDatabase(rng, {{"e", 2}}, spec);
 
-  Relation direct = EvaluateQuery(q, db).value();
+  Relation direct = EvaluateQuery(ctx, q, db).value();
   Relation mirrored =
-      EvaluateQuery(MirrorQuery(q), MirrorDatabase(db)).value();
+      EvaluateQuery(ctx, MirrorQuery(q), MirrorDatabase(db)).value();
   // Mirrors of the direct answers must equal the mirrored evaluation.
   Relation expected;
   for (const Tuple& t : direct) {
@@ -55,6 +56,9 @@ TEST(MirrorTest, EvaluationCommutes) {
 TEST(MirrorTest, ContainmentCommutes) {
   Rng rng(77);
   for (int iter = 0; iter < 60; ++iter) {
+    // Each side decides on its own cold context.
+    EngineContext ctx;
+    EngineContext mirror_ctx;
     gen::QuerySpec spec;
     spec.num_subgoals = 2;
     spec.num_vars = 3;
@@ -65,8 +69,8 @@ TEST(MirrorTest, ContainmentCommutes) {
     spec.const_max = 5;
     Query a = gen::RandomQuery(rng, spec);
     Query b = gen::RandomQuery(rng, spec);
-    auto direct = IsContained(a, b);
-    auto mirrored = IsContained(MirrorQuery(a), MirrorQuery(b));
+    auto direct = IsContained(ctx, a, b);
+    auto mirrored = IsContained(mirror_ctx, MirrorQuery(a), MirrorQuery(b));
     ASSERT_TRUE(direct.ok()) << direct.status();
     ASSERT_TRUE(mirrored.ok()) << mirrored.status();
     ASSERT_EQ(direct.value(), mirrored.value())
@@ -75,6 +79,11 @@ TEST(MirrorTest, ContainmentCommutes) {
 }
 
 TEST(MirrorTest, RewritingCommutes) {
+  // Each rewriter run and the comparison use separate contexts, so none of
+  // them reads back a decision another one cached.
+  EngineContext ctx;
+  EngineContext mirror_ctx;
+  EngineContext check;
   // The RSI path of RewriteLsiQuery is exactly the mirror of the LSI path:
   // rewriting the mirrored workload yields the mirrored MCR.
   Query q = MustParseQuery("q(A) :- p(A, B), r(C), A > 5, B > 3");
@@ -82,8 +91,9 @@ TEST(MirrorTest, RewritingCommutes) {
       "v1(X1, X2, X3) :- p(X, Y), s(X1, X2, X3), "
       "X3 <= X, X <= X1, X <= X2, X3 <= Y.\n"
       "v2(U) :- r(U)."));
-  auto direct = RewriteLsiQuery(q, views);
-  auto mirrored = RewriteLsiQuery(MirrorQuery(q), MirrorViews(views));
+  auto direct = RewriteLsiQuery(ctx, q, views);
+  auto mirrored =
+      RewriteLsiQuery(mirror_ctx, MirrorQuery(q), MirrorViews(views));
   ASSERT_TRUE(direct.ok()) << direct.status();
   ASSERT_TRUE(mirrored.ok()) << mirrored.status();
   ASSERT_EQ(direct.value().disjuncts.size(),
@@ -93,7 +103,7 @@ TEST(MirrorTest, RewritingCommutes) {
   for (const Query& md : mirrored.value().disjuncts) {
     bool matched = false;
     for (const Query& d : direct.value().disjuncts) {
-      auto eq = IsEquivalent(md, MirrorQuery(d));
+      auto eq = IsEquivalent(check, md, MirrorQuery(d));
       if (eq.ok() && eq.value()) matched = true;
     }
     EXPECT_TRUE(matched) << md.ToString();

@@ -50,6 +50,7 @@ Workload DrawWorkload(Rng& rng, gen::AcMode query_mode,
 void CheckEmpiricalContainment(const Query& q, const ViewSet& views,
                                const UnionQuery& rewritings, Rng& rng,
                                int databases) {
+  EngineContext ctx;
   std::map<std::string, int> schema = gen::SchemaOf(q);
   for (const auto& [pred, arity] : gen::SchemaOf(views))
     schema.emplace(pred, arity);
@@ -59,11 +60,11 @@ void CheckEmpiricalContainment(const Query& q, const ViewSet& views,
     spec.value_min = 0;
     spec.value_max = 11;
     Database db = gen::RandomDatabase(rng, schema, spec);
-    auto vdb = MaterializeViews(views, db);
+    auto vdb = MaterializeViews(ctx, views, db);
     ASSERT_TRUE(vdb.ok()) << vdb.status();
-    auto q_ans = EvaluateQuery(q, db);
+    auto q_ans = EvaluateQuery(ctx, q, db);
     ASSERT_TRUE(q_ans.ok()) << q_ans.status();
-    auto p_ans = EvaluateUnion(rewritings, vdb.value());
+    auto p_ans = EvaluateUnion(ctx, rewritings, vdb.value());
     ASSERT_TRUE(p_ans.ok()) << p_ans.status();
     for (const Tuple& t : p_ans.value()) {
       ASSERT_TRUE(q_ans.value().count(t))
@@ -83,6 +84,7 @@ TEST(RewritingPropertyTest, RewriteLsiSoundOnRandomLsiWorkloads) {
     Budget budget;
     budget.max_mappings = 2000;
     EngineContext ctx(budget);
+    EngineContext check;  // unbudgeted, away from the rewriter's cache
     RewriteOptions opts;
     opts.max_ac_alternatives = 32;
     auto mcr = RewriteLsiQuery(ctx, w.q, w.views, opts);
@@ -94,7 +96,7 @@ TEST(RewritingPropertyTest, RewriteLsiSoundOnRandomLsiWorkloads) {
     for (const Query& d : mcr.value().disjuncts) {
       auto exp = ExpandRewriting(d, w.views);
       ASSERT_TRUE(exp.ok()) << exp.status();
-      auto c = IsContained(exp.value(), w.q);
+      auto c = IsContained(check, exp.value(), w.q);
       ASSERT_TRUE(c.ok()) << c.status();
       EXPECT_TRUE(c.value())
           << "query: " << w.q.ToString() << "\nrewriting: " << d.ToString();
@@ -110,8 +112,9 @@ TEST(RewritingPropertyTest, RewriteLsiSoundOnRandomLsiWorkloads) {
 TEST(RewritingPropertyTest, RewriteLsiSoundOnRandomRsiWorkloads) {
   Rng rng(2002);
   for (int iter = 0; iter < 25; ++iter) {
+    EngineContext ctx;
     Workload w = DrawWorkload(rng, gen::AcMode::kRsi, gen::AcMode::kSi);
-    auto mcr = RewriteLsiQuery(w.q, w.views);
+    auto mcr = RewriteLsiQuery(ctx, w.q, w.views);
     if (!mcr.ok()) continue;
     if (!mcr.value().disjuncts.empty())
       CheckEmpiricalContainment(w.q, w.views, mcr.value(), rng, 2);
@@ -142,12 +145,17 @@ TEST(RewritingPropertyTest, RewriteLsiSubsumesBucketOnLsiWorkloads) {
   Rng rng(4004);
   int comparisons = 0;
   for (int iter = 0; iter < 20; ++iter) {
+    // Both rewriters and the covering check run on separate, cold
+    // contexts, so none of them reads back a decision another one cached.
+    EngineContext ctx;
+    EngineContext bucket_ctx;
+    EngineContext check;
     Workload w = DrawWorkload(rng, gen::AcMode::kLsi, gen::AcMode::kSi);
-    auto mcr = RewriteLsiQuery(w.q, w.views);
-    auto bucket = BucketRewrite(w.q, w.views);
+    auto mcr = RewriteLsiQuery(ctx, w.q, w.views);
+    auto bucket = BucketRewrite(bucket_ctx, w.q, w.views);
     if (!mcr.ok() || !bucket.ok()) continue;
     for (const Query& b : bucket.value().disjuncts) {
-      auto covered = IsContainedInUnion(b, mcr.value());
+      auto covered = IsContainedInUnion(check, b, mcr.value());
       ASSERT_TRUE(covered.ok()) << covered.status();
       EXPECT_TRUE(covered.value())
           << "bucket rewriting not covered by the MCR\nquery: "

@@ -409,7 +409,8 @@ class Shell {
     if (!NeedQuery()) return false;
     Result<Query> p = ParseQuery(text);
     if (!p.ok()) return Fail(p.status().ToString());
-    Result<ContainmentExplanation> e = ExplainContainment(p.value(), query_);
+    Result<ContainmentExplanation> e =
+        ExplainContainment(*ctx_, p.value(), query_);
     if (!e.ok()) return Fail(e.status().ToString());
     std::printf("%s\n", e.value().ToString().c_str());
     return true;
