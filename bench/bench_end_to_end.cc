@@ -291,6 +291,42 @@ BENCHMARK(BM_EvalFanOut)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+// E19: the leading-range scan of atom 0.
+//
+// r(X, Y) holds 50000 tuples, X = 0..49999, so the relation is sorted on
+// X; q(X, Y) :- r(X, Y), X < k keeps arg0 percent of it. The join walks
+// only the run below k, so the time tracks the selectivity instead of
+// |r|. Serial on purpose (a private 0-thread pool, whatever --threads
+// says): the threaded rows of this binary swing too much between runs to
+// gate.
+void BM_EvalLeadingRange(benchmark::State& state) {
+  constexpr int64_t kTuples = 50000;
+  Database db;
+  for (int64_t x = 0; x < kTuples; ++x) {
+    Status st = db.Insert("r", {Value(Rational(x)), Value(Rational(x % 100))});
+    if (!st.ok()) std::abort();
+  }
+  const int64_t k = kTuples * state.range(0) / 100;
+  Query q = MustParseQuery(StrCat("q(X, Y) :- r(X, Y), X < ", k));
+
+  TaskPool pool(0);
+  EngineContext ctx;
+  ctx.set_task_pool(&pool);
+  size_t answers = 0;
+  for (auto _ : state) {
+    auto r = EvaluateQuery(ctx, q, db);
+    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    answers = r.ValueOr(Relation{}).size();
+    benchmark::DoNotOptimize(answers);
+  }
+  state.counters["answers"] = static_cast<double>(answers);
+}
+BENCHMARK(BM_EvalLeadingRange)
+    ->Arg(1)
+    ->Arg(10)
+    ->Arg(100)
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace cqac
 

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 
 #include "src/base/strings.h"
@@ -129,11 +130,96 @@ struct AtomPlan {
   std::vector<CompPlan> comps;
 };
 
+/// The values atom 0's first position can take: a constant there, or the
+/// tightest numeric bounds the query's comparisons put on the variable
+/// there. Absent sides are open; with no `hi`, a range from comparisons
+/// still stops before the symbols, which no ordered comparison admits.
+struct LeadRange {
+  bool active = false;  // false: atom 0 scans its whole relation
+  bool empty = false;   // the bounds contradict each other
+  const Value* lo = nullptr;
+  const Value* hi = nullptr;
+  bool lo_strict = false;
+  bool hi_strict = false;
+};
+
+LeadRange DeriveLeadRange(const Query& q) {
+  LeadRange r;
+  if (q.body().empty() || q.body()[0].args.empty()) return r;
+  const Term& lead = q.body()[0].args[0];
+  if (lead.is_const()) {
+    r.active = true;
+    r.lo = r.hi = &lead.value();
+    return r;
+  }
+  // Keeps the tighter of *bound and k; on a tie, strict wins.
+  auto tighten = [](const Value*& bound, bool& strict, const Value& k,
+                    bool k_strict, bool upper) {
+    if (bound == nullptr || (upper ? k < *bound : *bound < k)) {
+      bound = &k;
+      strict = k_strict;
+    } else if (!(*bound < k) && !(k < *bound)) {
+      strict = strict || k_strict;
+    }
+  };
+  for (const Comparison& c : q.comparisons()) {
+    const bool var_lhs = c.lhs.is_var() && c.lhs.var() == lead.var();
+    const bool var_rhs = c.rhs.is_var() && c.rhs.var() == lead.var();
+    if (var_lhs == var_rhs) continue;  // neither side, or X θ X
+    const Term& other = var_lhs ? c.rhs : c.lhs;
+    if (!other.is_const() || !other.value().is_number()) continue;
+    const bool strict = c.op == CompOp::kLt;
+    if (var_lhs || c.op == CompOp::kEq)
+      tighten(r.hi, r.hi_strict, other.value(), strict, /*upper=*/true);
+    if (var_rhs || c.op == CompOp::kEq)
+      tighten(r.lo, r.lo_strict, other.value(), strict, /*upper=*/false);
+    r.active = true;
+  }
+  if (r.lo != nullptr && r.hi != nullptr)
+    r.empty = *r.hi < *r.lo ||
+              (!(*r.lo < *r.hi) && (r.lo_strict || r.hi_strict));
+  return r;
+}
+
+/// Narrows [*begin, *end) to the run of `rel` whose first position lies in
+/// `r`. Tuples sort lexicographically, a tuple right after its prefixes and
+/// numbers before symbols, so the run is contiguous and each bound is one
+/// lower_bound, plus a walk over the bound's own key when it is excluded
+/// (strict lo) or included (non-strict hi).
+void LeadRun(const Relation& rel, const LeadRange& r,
+             Relation::const_iterator* begin, Relation::const_iterator* end) {
+  *begin = rel.begin();
+  *end = rel.end();
+  if (!r.active) return;
+  if (r.empty) {
+    *begin = rel.end();
+    return;
+  }
+  auto past_key = [&rel](Relation::const_iterator it, const Value& k) {
+    while (it != rel.end() && !(k < (*it)[0])) ++it;
+    return it;
+  };
+  if (r.lo != nullptr) {
+    *begin = rel.lower_bound(Tuple{*r.lo});
+    if (r.lo_strict) *begin = past_key(*begin, *r.lo);
+  }
+  if (r.hi == nullptr) {
+    *end = rel.lower_bound(Tuple{Value(std::string())});  // first symbol
+  } else {
+    *end = rel.lower_bound(Tuple{*r.hi});
+    if (!r.hi_strict) *end = past_key(*end, *r.hi);
+  }
+}
+
 /// Compiles q's per-atom plans into *atoms and its variable -> batch column
-/// map into *var_col (-1 for variables no atom binds). Returns false when a
-/// constant-constant comparison is already false (the join has no results).
+/// map into *var_col (-1 for variables no atom binds), and atom 0's
+/// leading range into *lead. An atom 0 with an active range scans that run
+/// instead of probing: its other constants become checks, and a constant at
+/// position 0 needs none. Returns false when a constant-constant comparison
+/// is already false (the join has no results).
 bool CompileAtomPlans(const Query& q, std::vector<AtomPlan>* atoms,
-                      std::vector<int>* var_col) {
+                      std::vector<int>* var_col, LeadRange* lead) {
+  *lead = DeriveLeadRange(q);
   var_col->assign(q.num_vars(), -1);
   const auto& comps = q.comparisons();
   std::vector<char> comp_done(comps.size(), 0);
@@ -158,7 +244,9 @@ bool CompileAtomPlans(const Query& q, std::vector<AtomPlan>* atoms,
     for (size_t i = 0; i < atom.args.size(); ++i) {
       const Term& t = atom.args[i];
       if (t.is_const()) {
-        if (p.probe_pos < 0) {
+        if (a == 0 && lead->active) {
+          if (i > 0) p.const_checks.emplace_back(i, &t.value());
+        } else if (p.probe_pos < 0) {
           p.probe_pos = static_cast<int>(i);
           p.probe_const = &t.value();
         } else {
@@ -287,23 +375,31 @@ class JoinIndexes {
 const std::vector<const Tuple*> JoinIndexes::kEmpty;
 
 /// One join compiled once: the per-atom plans, the variable -> batch column
-/// map and the index set. Every BatchJoiner that runs the join — the one
-/// serial joiner, or each chunk of a fan-out — reads the plans and probes
-/// the same indexes, so each (atom, column) index is built once per join.
+/// map, the run of atom 0 the join scans and the index set. Every
+/// BatchJoiner that runs the join — the one serial joiner, or each chunk of
+/// a fan-out — reads the plans and probes the same indexes, so each (atom,
+/// column) index is built once per join.
 struct CompiledJoin {
   CompiledJoin(const Query& query, const std::vector<const Relation*>& rels)
       : q(query),
         relations(rels),
-        satisfiable(CompileAtomPlans(query, &atoms, &var_col)),
-        indexes(rels, atoms) {}
+        satisfiable(CompileAtomPlans(query, &atoms, &var_col, &lead)),
+        indexes(rels, atoms) {
+    if (!rels.empty()) LeadRun(*rels[0], lead, &lead_begin, &lead_end);
+  }
 
   const Query& q;
   const std::vector<const Relation*>& relations;
   // Declared before `satisfiable`, whose initializer fills them.
   std::vector<AtomPlan> atoms;
   std::vector<int> var_col;
+  LeadRange lead;
   const bool satisfiable;
   JoinIndexes indexes;
+  // Atom 0's tuples whose first position lies in `lead` (all of them when
+  // the range is inactive).
+  Relation::const_iterator lead_begin;
+  Relation::const_iterator lead_end;
 };
 
 /// A contiguous run of atom 0's tuples: what one chunk of a fanned-out join
@@ -376,8 +472,8 @@ class BatchJoiner {
     };
 
     if (atom_idx == 0 && slice_ != nullptr) {
-      // A fan-out chunk scans its slice of atom 0 (the unit batch has one
-      // row). Nothing is bound before atom 0, so its probe position can
+      // A fan-out chunk scans its slice of atom 0's run (the unit batch has
+      // one row). Nothing is bound before atom 0, so its probe position can
       // only hold a constant, which the scan checks instead.
       const bool check = p.probe_pos >= 0;
       const size_t pos = check ? static_cast<size_t>(p.probe_pos) : 0;
@@ -386,6 +482,11 @@ class BatchJoiner {
         if (check && (t->size() != p.arity || !((*t)[pos] == *p.probe_const)))
           continue;
         consider(0, *t);
+      }
+    } else if (atom_idx == 0 && p.probe_pos < 0) {
+      for (auto it = join_.lead_begin; it != join_.lead_end; ++it) {
+        if (stop_ || aborted_) return;
+        consider(0, *it);
       }
     } else if (p.probe_pos < 0) {
       for (uint32_t row = 0; row < in.rows; ++row)
@@ -671,13 +772,16 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
   auto checkpoint = [&ctx] { return !ctx.ShouldStop(); };
   CompiledJoin join(q, relations);
 
-  // Fan out only when atom 0 has enough tuples to split; results are a
+  // One pointer array over atom 0's run, when a pool could split it.
+  std::vector<const Tuple*> first;
+  if (ctx.parallelism() > 0 && !TaskPool::InPoolTask() && !q.body().empty())
+    for (auto it = join.lead_begin; it != join.lead_end; ++it)
+      first.push_back(&*it);
+
+  // Fan out only when the run has enough tuples to split; results are a
   // set, so the chunk merge is order-independent and output is identical
   // at every thread count.
-  const bool fan_out = ctx.parallelism() > 0 && !TaskPool::InPoolTask() &&
-                       !q.body().empty() &&
-                       relations[0]->size() >= 2 * (ctx.parallelism() + 1);
-  if (!fan_out) {
+  if (first.size() < 2 * (ctx.parallelism() + 1)) {
     Relation results;
     if (!JoinInto(join, checkpoint, &results, &ctx.stats())) {
       ++ctx.stats().budget_exhaustions;
@@ -686,13 +790,10 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
     return results;
   }
 
-  // Cut one pointer array over atom 0 into contiguous slices, one per
-  // chunk. The chunks scan their slices in place and share `join`, so the
-  // indexes of the later atoms are built once, by whichever chunk needs
-  // them first.
-  std::vector<const Tuple*> first;
-  first.reserve(relations[0]->size());
-  for (const Tuple& t : *relations[0]) first.push_back(&t);
+  // Cut the run into contiguous slices of equal size, one per chunk, so
+  // every chunk gets its share of the matching tuples. The chunks scan
+  // their slices in place and share `join`, so the indexes of the later
+  // atoms are built once, by whichever chunk needs them first.
   const size_t max_chunks = 4 * (ctx.parallelism() + 1);
   const size_t num_chunks = first.size() < max_chunks ? first.size()
                                                       : max_chunks;

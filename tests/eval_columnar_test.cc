@@ -7,7 +7,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/base/strings.h"
@@ -254,6 +256,205 @@ TEST(EvalColumnarTest, FanOutWithExpiredDeadlineIsExhausted) {
     EngineContext ctx(budget);
     ctx.set_task_pool(&pool);
     Result<Relation> got = EvaluateQuery(ctx, q, db);
+    ASSERT_FALSE(got.ok()) << "threads=" << threads;
+    EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
+        << got.status();
+    EXPECT_GT(uint64_t{ctx.stats().budget_exhaustions}, 0u);
+    EXPECT_GT(uint64_t{ctx.stats().parallel_sections}, 0u)
+        << "threads=" << threads << " did not fan out";
+  }
+}
+
+// ---- Leading-column ranges -------------------------------------------------
+//
+// A constant at atom 0's first position, or numeric bounds the comparisons
+// put on the variable there, restrict the join to one contiguous run of the
+// sorted relation. Every case runs at threads 0/1/4/8 under both join
+// orders, so the range feeds the serial scan and the fan-out slices alike.
+
+// r's first column holds -600..599 twice (second columns differ), the
+// halves 1/2..59/2, the diagonal (k, k) for k < 50, ±INT64_MAX, and the
+// symbols a..e; s fans each second column out to three rows.
+Database LeadingRangeDatabase() {
+  Database db;
+  auto add = [&db](const char* pred, Value a, Value b) {
+    ASSERT_TRUE(db.Insert(pred, {std::move(a), std::move(b)}).ok());
+  };
+  for (int64_t i = 0; i < 2400; ++i) add("r", Num(i % 1200 - 600), Num(i % 37));
+  for (int64_t k = 0; k < 60; k += 2) add("r", Num(k + 1, 2), Num(k % 37));
+  for (int64_t k = 0; k < 50; ++k) add("r", Num(k), Num(k));
+  for (int64_t x : {INT64_MAX, -INT64_MAX}) {
+    add("r", Num(x), Num(1));
+    add("r", Num(x), Num(2));
+  }
+  for (const char* sym : {"a", "b", "c", "d", "e"}) {
+    add("r", Value(std::string(sym)), Num(3));
+    add("r", Value(std::string(sym)), Num(4));
+  }
+  for (int64_t y = 0; y < 50; ++y)
+    for (int64_t z = 0; z < 3; ++z) add("s", Num(y), Num(100 * z + y));
+  return db;
+}
+
+void ExpectRangeCases(const Database& db,
+                      std::initializer_list<const char*> bodies) {
+  for (const char* body : bodies)
+    ExpectMatchesReference(MustParseQuery(StrCat("q(X, Z) :- ", body)), db,
+                           body);
+}
+
+TEST(EvalColumnarTest, LeadingRangeStrictAndNonStrictBounds) {
+  const Database db = LeadingRangeDatabase();
+  ExpectRangeCases(
+      db, {"r(X, Y), s(Y, Z), X < 100", "r(X, Y), s(Y, Z), X <= 100",
+           "r(X, Y), s(Y, Z), -100 < X", "r(X, Y), s(Y, Z), -100 <= X",
+           "r(X, Y), s(Y, Z), X > 500", "r(X, Y), s(Y, Z), X >= 500",
+           "r(X, Y), s(Y, Z), -100 < X, X <= 100",
+           "r(X, Y), s(Y, Z), -100 <= X, X < 100",
+           // Ties between bounds on the same key: the strict one wins,
+           // whichever comes first.
+           "r(X, Y), s(Y, Z), X < 100, X <= 100",
+           "r(X, Y), s(Y, Z), X <= 100, X < 100, X < 300",
+           "r(X, Y), s(Y, Z), 5 <= X, 5 < X, 2 < X"});
+}
+
+TEST(EvalColumnarTest, LeadingRangeEqualityAndConstants) {
+  const Database db = LeadingRangeDatabase();
+  ExpectRangeCases(
+      db, {"r(X, Y), s(Y, Z), X = 7", "r(X, Y), s(Y, Z), 7 = X",
+           "r(X, Y), s(Y, Z), X = 7, X < 5",
+           // A point range whose key is absent, and one on a symbol.
+           "r(X, Y), s(Y, Z), X = 1000", "r(X, Y), s(Y, Z), X = b"});
+  // A constant at position 0 (and one later in the atom) pins the run to
+  // one key; the later constant stays a check.
+  for (const char* q : {"q(Y, Z) :- r(7, Y), s(Y, Z)",
+                        "q(Z) :- r(7, 7), s(7, Z)",
+                        "q(Z) :- r(7, 8), s(7, Z)",
+                        "q(Y) :- r(-600, Y)",
+                        "q(Y) :- r(c, Y)",
+                        "q(Y, Z) :- r(7, Y), s(Y, Z), Z < 150"})
+    ExpectMatchesReference(MustParseQuery(q), db, q);
+}
+
+TEST(EvalColumnarTest, LeadingRangeNonIntegralBounds) {
+  const Database db = LeadingRangeDatabase();
+  ExpectRangeCases(db, {"r(X, Y), s(Y, Z), X < 5/2",
+                        "r(X, Y), s(Y, Z), X <= 5/2",
+                        "r(X, Y), s(Y, Z), 5/2 < X, X < 7/2",
+                        "r(X, Y), s(Y, Z), 5/2 <= X, X <= 7/2",
+                        "r(X, Y), s(Y, Z), X = 5/2"});
+}
+
+TEST(EvalColumnarTest, LeadingRangeContradictoryAndPoint) {
+  const Database db = LeadingRangeDatabase();
+  ExpectRangeCases(db, {"r(X, Y), s(Y, Z), X < 3, 7 < X",
+                        "r(X, Y), s(Y, Z), 3 < X, X <= 3",
+                        "r(X, Y), s(Y, Z), 3 <= X, X < 3",
+                        "r(X, Y), s(Y, Z), X = 3, X = 4",
+                        "r(X, Y), s(Y, Z), 3 <= X, X <= 3"});
+}
+
+TEST(EvalColumnarTest, LeadingRangeNegativeAndExtremeBounds) {
+  const Database db = LeadingRangeDatabase();
+  const std::string max = StrCat(INT64_MAX);
+  const std::string min = StrCat(-INT64_MAX);
+  ExpectRangeCases(db, {"r(X, Y), s(Y, Z), X < -550",
+                        "r(X, Y), s(Y, Z), X <= -600",
+                        "r(X, Y), s(Y, Z), -3 < X, X < -1"});
+  for (const std::string& body :
+       {StrCat("X < ", max), StrCat("X <= ", max), StrCat(max, " <= X"),
+        StrCat(max, " < X"), StrCat(min, " < X"), StrCat(min, " <= X"),
+        StrCat("X <= ", min), StrCat("X < ", min),
+        StrCat(min, " < X, X < ", max)}) {
+    const std::string q = StrCat("q(X, Z) :- r(X, Y), s(Y, Z), ", body);
+    ExpectMatchesReference(MustParseQuery(q), db, q);
+  }
+}
+
+TEST(EvalColumnarTest, LeadingRangeSymbolsAndRepeatedVariable) {
+  const Database db = LeadingRangeDatabase();
+  // Symbols sort after every number: a lower bound alone must stop before
+  // them, and an unrestricted scan must still reach them.
+  ExpectRangeCases(db, {"r(X, Y), s(Y, Z), 500 < X", "r(X, Y), s(Y, Z)",
+                        "r(X, Y), s(Y, Z), X < 0"});
+  for (const char* q : {"q(X) :- r(X, X), X < 30", "q(X) :- r(X, X), 10 <= X",
+                        "q(X, Z) :- r(X, X), s(X, Z), 5 < X, X <= 40"})
+    ExpectMatchesReference(MustParseQuery(q), db, q);
+}
+
+TEST(EvalColumnarTest, VariableComparisonsGiveNoRange) {
+  const Database db = LeadingRangeDatabase();
+  for (const char* q : {"q(X, Y) :- r(X, Y), X < Y",
+                        "q(X, Y) :- r(X, Y), Y <= X",
+                        "q(X, Z) :- r(X, Y), s(Y, Z), X < Z",
+                        "q(X, Z) :- r(X, Y), s(Y, Z), Y < 3, Z < 120"})
+    ExpectMatchesReference(MustParseQuery(q), db, q);
+}
+
+TEST(EvalColumnarTest, LeadingRangeScansOnlyItsRun) {
+  // The join polls its checkpoint once per 4096 candidate tuples, so the
+  // poll count bounds how much of atom 0 it walked: a range of 1000 keys
+  // out of 20000 must never reach the first poll. Key 1000 holds 5000 more
+  // tuples and 5000 symbols follow the numbers, so a range that takes in
+  // key 1000 or runs on into the symbols would poll.
+  Database db;
+  for (int64_t i = 0; i < 20000; ++i)
+    ASSERT_TRUE(db.Insert("r", {Num(i), Num(i % 7)}).ok());
+  for (int64_t i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(db.Insert("r", {Num(1000), Num(7 + i)}).ok());
+    ASSERT_TRUE(db.Insert("r", {Value(StrCat("s", i)), Num(5)}).ok());
+  }
+  const std::vector<const Relation*> rels = {&db.Get("r")};
+  auto run = [&](const char* text, size_t* rows) {
+    Query q = MustParseQuery(text);
+    size_t polls = 0;
+    *rows = 0;
+    EXPECT_TRUE(JoinBodyBatches(
+        q, rels,
+        [&](const Batch& b, const std::vector<int>&) {
+          *rows += b.rows;
+          return true;
+        },
+        [&] {
+          ++polls;
+          return true;
+        }));
+    return polls;
+  };
+  size_t rows = 0;
+  for (const char* q : {"q(X) :- r(X, Y), X < 1000",
+                        "q(X) :- r(X, Y), 19000 <= X",
+                        "q(X) :- r(X, Y), 9000 < X, X <= 10000",
+                        "q(X) :- r(X, Y), X < 1000, X <= 1000",
+                        "q(X) :- r(X, Y), X <= 1000, X < 1000"}) {
+    EXPECT_EQ(run(q, &rows), 0u) << q;
+    EXPECT_EQ(rows, 1000u) << q;
+  }
+  EXPECT_EQ(run("q(Y) :- r(12345, Y)", &rows), 0u);
+  EXPECT_EQ(rows, 1u);
+  EXPECT_GE(run("q(X) :- r(X, Y), Y < 3", &rows), 4u);
+  EXPECT_EQ(rows, 8572u);
+}
+
+TEST(EvalColumnarTest, RangeRestrictedFanOutWithExpiredDeadlineIsExhausted) {
+  // The run X < 1000 is half of r and each of its tuples joins 500 s
+  // tuples, so every chunk still passes the checkpoint many times over.
+  Database db;
+  for (int64_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(db.Insert("r", {Num(i), Num(i % 4)}).ok());
+    ASSERT_TRUE(db.Insert("s", {Num(i % 4), Num(i)}).ok());
+  }
+  Query q = MustParseQuery("q(X, Z) :- r(X, Y), s(Y, Z), X < 1000");
+  for (size_t threads : {1, 4, 8}) {
+    TaskPool pool(threads);
+    Budget budget;
+    budget.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    EngineContext ctx(budget);
+    ctx.set_task_pool(&pool);
+    EvalOptions options;
+    options.join_order = EvalOptions::JoinOrder::kSyntactic;
+    Result<Relation> got = EvaluateQuery(ctx, q, db, options);
     ASSERT_FALSE(got.ok()) << "threads=" << threads;
     EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
         << got.status();
